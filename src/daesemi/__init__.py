@@ -15,7 +15,7 @@ from .kernel import (KernelRestriction, restrict_to_kernel,
                      solve_kernel_inhomogeneity)
 from .laplace import (ContourConfig, bromwich_invert, contour_for,
                       forward_laplace)
-from .pencil import (Chain, IndexReport, Pencil, chain_index,
+from .pencil import (Chain, IndexReport, Pencil, SubspaceBasis, chain_index,
                      estimate_resolvent_index, left_resolvent, resolvent,
                      right_resolvent)
 from .semigroup import (PropertyReport, SemigroupEvaluator, build_evaluator,
@@ -24,7 +24,7 @@ from .semigroup import (PropertyReport, SemigroupEvaluator, build_evaluator,
 from .signals import Signal, Term
 from .solver import (Trajectory, cross_check, residual, solve_full,
                      solve_homogeneous, solve_inhomogeneous_ran)
-from .subspaces import (DecompositionReport, DisjointnessFlags, SubspaceBasis,
+from .subspaces import (DecompositionReport, DisjointnessFlags,
                         check_disjointness, hilbert_decomposition,
                         intersection_dim, principal_angles,
                         stabilized_sequences)

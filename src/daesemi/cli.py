@@ -19,8 +19,8 @@ from . import generators
 from .errors import (BadShape, DaesemiError, DimensionMismatch, ShapeMismatch)
 from .fileio import (RunReport, read_pencil, read_signal, trajectory_csv,
                      write_pencil)
-from .pencil import (Pencil, chain_index, estimate_resolvent_index,
-                     right_resolvent)
+from .pencil import (Pencil, chain_index, default_shift,
+                     estimate_resolvent_index, right_resolvent)
 from .semigroup import build_evaluator, cp_semigroup, verify_properties
 from .solver import solve_full, solve_homogeneous
 from .subspaces import check_disjointness, hilbert_decomposition
@@ -55,8 +55,7 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     p = read_pencil(args.pencil)
     idx = estimate_resolvent_index(p)
-    mu = _parse_complex(args.mu) if args.mu else \
-        (p.omega_hint or 0.0) + 2.0
+    mu = _parse_complex(args.mu) if args.mu else default_shift(p)
     rep = hilbert_decomposition(p, mu)
     flags = check_disjointness(rep, p)
     q, _ = chain_index(p)
@@ -94,7 +93,7 @@ def _cmd_solve(args) -> int:
     ts = np.linspace(args.t0, args.t1, args.steps)
     method = args.method
     if method == "auto":
-        method = "decomp" if (f is None or p.is_square) else "contour"
+        method = "decomp" if p.is_square else "contour"
     if f is None:
         traj = solve_homogeneous(p, x0, ts, method=method, strict=False)
     else:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, GenerationFailed
+from .errors import BadShape, DaesemiError, GenerationFailed
 from .pencil import Pencil
 from .semigroup import propagator_signal
 from .signals import Signal
@@ -179,7 +179,7 @@ def make_hamiltonian(n: int, rank_E: int, seed=0, max_retries: int = 12) -> Penc
         try:
             rep = hilbert_decomposition(pen, 2.0)
             flags = check_disjointness(rep, pen)
-        except Exception:
+        except (DaesemiError, np.linalg.LinAlgError):
             continue
         if flags.disjoint_ranE and flags.disjoint_kernel:
             return pen

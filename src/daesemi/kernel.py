@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AKerSingular, DimensionMismatch
-from .pencil import COND_CAP, Pencil, left_resolvent, right_resolvent
+from .pencil import (COND_CAP, Pencil, SubspaceBasis, left_resolvent,
+                     null_space, right_resolvent)
 from .signals import Signal
-from .subspaces import SubspaceBasis, null_space
 
 NILPOTENT_TOL = 1e-10
 

@@ -33,15 +33,11 @@ class ContourConfig:
     """Vertical-line contour for inversion.
 
     sigma: line abscissa (must lie right of all singularities of F);
-    half_height: imaginary truncation (informational; the node count
-    controls it via the spacing pi/t); n_nodes: conjugate node pairs
-    summed before Euler averaging; horizon: forward-transform horizon.
+    n_nodes: conjugate node pairs summed before Euler averaging.
     """
 
     sigma: float
-    half_height: float | None = None
     n_nodes: int = 40
-    horizon: float = 40.0
 
     def __post_init__(self):
         if self.n_nodes % 2 != 0:
@@ -52,8 +48,7 @@ def contour_for(t: float, omega: float = 0.0,
                 accel: float = DEFAULT_ACCEL, n_nodes: int = 40) -> ContourConfig:
     """Contour tuned for inversion at time t given growth abscissa omega."""
     sigma = max(omega, 0.0) + accel / (2.0 * t)
-    return ContourConfig(sigma=sigma, half_height=(n_nodes + EULER_DEPTH) * math.pi / t,
-                         n_nodes=n_nodes)
+    return ContourConfig(sigma=sigma, n_nodes=n_nodes)
 
 
 def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
@@ -99,7 +94,7 @@ def forward_laplace(g, lam: complex, T: float = 40.0, n: int = 64,
     gT = np.linalg.norm(np.atleast_1d(np.asarray(g(T), dtype=complex)))
     if decay <= 0:
         raise TailTooLarge(f"Re lambda = {lam.real} does not dominate omega = {omega}")
-    tail = gT * math.exp(-decay * 0.0) * abs(np.exp(-lam * T)) / decay
+    tail = gT * abs(np.exp(-lam * T)) / decay
     if tail > tail_tol:
         raise TailTooLarge(f"tail bound {tail:.2e} exceeds {tail_tol:.1e}")
     nodes, weights = np.polynomial.legendre.leggauss(12)

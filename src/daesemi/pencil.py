@@ -10,7 +10,7 @@ different "coordinate" dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,37 @@ class Pencil:
     @property
     def scale(self) -> float:
         return float(np.linalg.norm(self.E, 2) + np.linalg.norm(self.A, 2))
+
+
+def default_shift(p: Pencil) -> float:
+    """The shift mu used when none is given: two right of the growth hint."""
+    return (p.omega_hint or 0.0) + 2.0
+
+
+@dataclass(frozen=True)
+class SubspaceBasis:
+    basis: np.ndarray  # orthonormal columns
+    ambient_dim: int
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
+
+
+def null_space(M: np.ndarray, rcond: float = RANK_RCOND,
+               scale: float | None = None) -> SubspaceBasis:
+    """Orthonormal kernel basis.
+
+    ``scale`` sets an absolute floor for the rank cutoff; without it a
+    matrix that is entirely round-off noise would count as full rank.
+    """
+    u, s, vh = np.linalg.svd(M)
+    tol = max(s[0] if s.size else 0.0, scale or 0.0) * rcond
+    rank = int(np.sum(s > tol))
+    return SubspaceBasis(vh[rank:].conj().T, M.shape[1])
 
 
 @dataclass(frozen=True)
@@ -179,9 +210,7 @@ def chain_index(p: Pencil, tol: float = 1e-8,
     if max_length is None:
         max_length = p.n_x + 1
     n = p.n_x
-    u, s, vh = np.linalg.svd(p.E)
-    rank = int(np.sum(s > (s[0] * RANK_RCOND if s.size else 0)))
-    kernel = vh[rank:].conj().T  # columns span ker E
+    kernel = null_space(p.E).basis
     if kernel.shape[1] == 0:
         return 0, []
     scale = max(p.scale, 1.0)
@@ -194,7 +223,7 @@ def chain_index(p: Pencil, tol: float = 1e-8,
         d = G.shape[1]
         # solve  E y = A x_j  jointly: null space of [A tips | -E]
         M = np.hstack([p.A @ tips, -p.E]) / scale
-        ns = null_space_matrix(M)
+        ns = null_space(M).basis
         if ns.size == 0:
             break
         c, y = ns[:d, :], ns[d:, :]
@@ -211,9 +240,3 @@ def chain_index(p: Pencil, tol: float = 1e-8,
     witness = Chain(tuple(vecs.reshape(q, n)))
     return q, [witness]
 
-
-def null_space_matrix(M: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
-    u, s, vh = np.linalg.svd(M)
-    tol = s[0] * rcond if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T

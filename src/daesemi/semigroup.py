@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ClosedFormUnavailable, DisjointnessViolated,
                      NotInXran, SingularAtLambda)
 from .laplace import bromwich_invert, contour_for
-from .pencil import COND_CAP, Pencil, estimate_resolvent_index, resolvent
+from .pencil import COND_CAP, Pencil, default_shift, resolvent
 from .signals import Signal
 from .subspaces import (DecompositionReport, check_disjointness,
                         hilbert_decomposition)
@@ -57,7 +57,6 @@ class SemigroupEvaluator:
     backend: str
     decomposition: DecompositionReport
     omega: float
-    growth_C: float
     V: np.ndarray                      # orthonormal basis of X_ran
     A_R: np.ndarray | None             # generator on X_ran coordinates
     prop: Signal | None                # exp(t A_R), matrix signal
@@ -85,21 +84,28 @@ class SemigroupEvaluator:
 def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = None,
                     backend: str = "closed_form",
                     decomposition: DecompositionReport | None = None) -> SemigroupEvaluator:
+    """The p_int-times integrated semigroup of p on its range space X_ran.
+
+    ``mu`` defaults to ``default_shift(p)``; a given ``decomposition`` must
+    have been computed at that mu.  ``p_int`` defaults to
+    ``decomposition.stagnation_k + 1``: the range chain of R_r(mu) stops
+    shrinking at the resolvent index, so no separate index estimate is run.
+    """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
     omega = p.omega_hint if p.omega_hint is not None else 0.0
-    if p_int is None:
-        p_int = estimate_resolvent_index(p).p_res + 1
     if mu is None:
-        mu = omega + 2.0
+        mu = default_shift(p)
     if decomposition is None:
         decomposition = hilbert_decomposition(p, mu)
+    if p_int is None:
+        p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
     r = V.shape[1]
     A_R = prop = S_coord = None
     closed_err = None
     if r > 0:
-        R_restr = V.conj().T @ (resolvent(p, mu) @ p.E) @ V
+        R_restr = V.conj().T @ (decomposition.R_mu @ p.E) @ V
         try:
             if np.linalg.cond(R_restr) > COND_CAP:
                 raise ClosedFormUnavailable(
@@ -120,13 +126,13 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
         omega_growth = omega
     return SemigroupEvaluator(pencil=p, mu=mu, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega_growth,
-                              growth_C=1.0, V=V, A_R=A_R, prop=prop,
+                              V=V, A_R=A_R, prop=prop,
                               S_coord=S_coord)
 
 
 def _left_evaluator(ev: SemigroupEvaluator) -> SemigroupEvaluator:
     if ev._left is None:
-        inv = resolvent(ev.pencil, ev.mu)
+        inv = ev.decomposition.R_mu
         tp = Pencil(ev.pencil.E @ inv, ev.pencil.A @ inv,
                     omega_hint=ev.pencil.omega_hint,
                     name=ev.pencil.name + ":left")
@@ -229,7 +235,7 @@ def verify_properties(ev: SemigroupEvaluator,
     E, A, V, p = ev.pencil.E, ev.pencil.A, ev.V, ev.p
     S = ev.S_coord
     lev = _left_evaluator(ev)
-    Rr = resolvent(ev.pencil, ev.mu) @ E
+    Rr = ev.decomposition.R_mu @ E
     scale = max(np.linalg.norm(E, 2) + np.linalg.norm(A, 2), 1.0)
     ts = np.asarray(time_grid, dtype=float)
 

@@ -72,10 +72,6 @@ class Signal:
         vec = np.asarray(vec, dtype=complex)
         return Signal.from_terms([(vec, 0, 0)])
 
-    @staticmethod
-    def exp_vector(vec, rate, power=0) -> "Signal":
-        return Signal.from_terms([(np.asarray(vec, dtype=complex), power, rate)])
-
     def _replace_terms(self, terms) -> "Signal":
         merged: dict[tuple, np.ndarray] = {}
         meta: dict[tuple, tuple[float, complex]] = {}
@@ -239,10 +235,6 @@ class Signal:
 
     def has_negative_powers(self) -> bool:
         return any(t.power < 0 for t in self.terms)
-
-    def is_exp_polynomial(self) -> bool:
-        return all(float(t.power).is_integer() and t.power >= 0
-                   for t in self.terms)
 
     # -- serialization (vector signals) ------------------------------------
 

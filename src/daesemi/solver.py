@@ -22,10 +22,11 @@ import numpy as np
 from .errors import (DecompositionUnavailable, InconsistentInitialValue,
                      LiftFailed, SolverMismatch)
 from .laplace import bromwich_invert, contour_for
-from .pencil import Pencil, estimate_resolvent_index, resolvent
+from .pencil import Pencil, default_shift, resolvent
 from .semigroup import SemigroupEvaluator, build_evaluator
 from .signals import Signal
-from .subspaces import block_left_resolvent, decomposition_basis
+from .subspaces import (block_left_resolvent, decomposition_basis,
+                        hilbert_decomposition)
 
 CONSISTENCY_TOL = 1e-6
 LIFT_TOL = 1e-8
@@ -198,8 +199,8 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
     return _from_signal(p, sig, ts, f, x0=ev.V @ c0, consistency=cons)
 
 
-def solve_full(p: Pencil, x0, f: Signal, ts, mu: complex | None = None,
-               p_int: int | None = None) -> Trajectory:
+def solve_full(p: Pencil, x0, f: Signal, ts,
+               mu: complex | None = None) -> Trajectory:
     """f anywhere in Z: block back-substitution of the left resolvent.
 
     The substitution w = (mu E - A) e^{-mu t} x turns the DAE into
@@ -211,13 +212,9 @@ def solve_full(p: Pencil, x0, f: Signal, ts, mu: complex | None = None,
     """
     if not p.is_square:
         raise DecompositionUnavailable("full solve needs a square pencil")
-    omega = p.omega_hint if p.omega_hint is not None else 0.0
-    if p_int is None:
-        p_int = estimate_resolvent_index(p).p_res + 1
     if mu is None:
-        mu = omega + 2.0
+        mu = default_shift(p)
     x0 = np.asarray(x0, dtype=complex)
-    from .subspaces import hilbert_decomposition
     rep = hilbert_decomposition(p, mu)
     B, slices = block_left_resolvent(rep, p, mu)
     U = decomposition_basis(rep, side="Z")
@@ -264,7 +261,7 @@ def solve_full(p: Pencil, x0, f: Signal, ts, mu: complex | None = None,
     for i in range(n_blocks):
         if z[i].shape[0]:
             w_sig = w_sig + z[i].apply(U[:, slices[i]])
-    x_sig = w_sig.apply(resolvent(p, mu)).modulate(mu)
+    x_sig = w_sig.apply(rep.R_mu).modulate(mu)
     init_mismatch = {}
     for i in range(1, n_blocks):
         v0 = z[i].value_at_zero()

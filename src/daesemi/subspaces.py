@@ -14,22 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisMismatch, NoStagnation
-from .pencil import RANK_RCOND, Pencil, left_resolvent, right_resolvent
+from .pencil import (RANK_RCOND, Pencil, SubspaceBasis, null_space,
+                     resolvent)
 
 ANGLE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    basis: np.ndarray  # orthonormal columns
-    ambient_dim: int
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 def orth_range(M: np.ndarray, rcond: float = RANK_RCOND,
@@ -40,19 +28,6 @@ def orth_range(M: np.ndarray, rcond: float = RANK_RCOND,
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > max(s[0], scale or 0.0) * rcond))
     return SubspaceBasis(u[:, :rank], M.shape[0])
-
-
-def null_space(M: np.ndarray, rcond: float = RANK_RCOND,
-               scale: float | None = None) -> SubspaceBasis:
-    """Orthonormal kernel basis.
-
-    ``scale`` sets an absolute floor for the rank cutoff; without it a
-    matrix that is entirely round-off noise would count as full rank.
-    """
-    u, s, vh = np.linalg.svd(M)
-    tol = max(s[0] if s.size else 0.0, scale or 0.0) * rcond
-    rank = int(np.sum(s > tol))
-    return SubspaceBasis(vh[rank:].conj().T, M.shape[1])
 
 
 def full_basis(n: int) -> SubspaceBasis:
@@ -91,10 +66,9 @@ class DecompositionReport:
     Z_chain: list[SubspaceBasis]
     X_ker: SubspaceBasis
     Z_ker: SubspaceBasis
+    R_mu: np.ndarray  # (mu E - A)^{-1}, shared by every later stage
     W_X: list[SubspaceBasis] = field(default_factory=list)  # W_X[i] = level i+1
     W_Z: list[SubspaceBasis] = field(default_factory=list)
-    P_Z_ran: np.ndarray | None = None
-    P_W_Z: list[np.ndarray] = field(default_factory=list)
     disjoint_ranE: bool | None = None
     disjoint_kernel: bool | None = None
 
@@ -126,8 +100,9 @@ def stabilized_sequences(p: Pencil, mu: complex,
     """Compute the range chains and the stabilized kernels at mu."""
     if p_max is None:
         p_max = max(p.n_x, p.n_z) + 1
-    Rr = right_resolvent(p, mu)
-    Rl = left_resolvent(p, mu)
+    R_mu = resolvent(p, mu)
+    Rr = R_mu @ p.E
+    Rl = p.E @ R_mu
     X_chain = _range_chain(Rr, p_max)
     Z_chain = _range_chain(Rl, p_max)
     # X_k = X_{k+1} exactly once ranks agree (nested ranges), so the chain
@@ -146,18 +121,16 @@ def stabilized_sequences(p: Pencil, mu: complex,
         return chain[:stag + 2]
     return DecompositionReport(mu=mu, p_used=p_used, stagnation_k=stag,
                                X_chain=_trim(X_chain), Z_chain=_trim(Z_chain),
-                               X_ker=X_ker, Z_ker=Z_ker)
+                               X_ker=X_ker, Z_ker=Z_ker, R_mu=R_mu)
 
 
 def hilbert_decomposition(p: Pencil, mu: complex,
                           p_max: int | None = None) -> DecompositionReport:
-    """Fill in the complements W_{.,k} and the orthogonal projectors."""
+    """Fill in the complements W_{.,k} of the range chains."""
     rep = stabilized_sequences(p, mu, p_max)
     for chain, W in ((rep.X_chain, rep.W_X), (rep.Z_chain, rep.W_Z)):
         for k in range(rep.stagnation_k):
             W.append(complement_in(chain[k], chain[k + 1]))
-    rep.P_Z_ran = rep.Z_ran.projector()
-    rep.P_W_Z = [w.projector() for w in rep.W_Z]
     return rep
 
 
@@ -184,7 +157,7 @@ def block_left_resolvent(rep: DecompositionReport, p: Pencil, mu: complex):
     block.
     """
     U = decomposition_basis(rep, side="Z")
-    Rl = left_resolvent(p, mu)
+    Rl = p.E @ rep.R_mu
     B = U.conj().T @ Rl @ U
     sizes = [rep.Z_ran.rank] + [w.rank for w in reversed(rep.W_Z)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -120,3 +120,14 @@ def test_cli_seed_env(tmp_path, monkeypatch, capsys):
     main(["example", "hamiltonian", "--n", "5", "--rank-e", "3", "-o", out3])
     capsys.readouterr()
     assert open(out1).read() != open(out3).read()
+
+
+def test_cli_solve_auto_on_rectangular_pencil(tmp_path, capsys):
+    path = str(tmp_path / "t.json")
+    assert main(["example", "transport", "--n", "4", "--m", "4",
+                 "-o", path]) == 0
+    capsys.readouterr()
+    x0 = ",".join(["1"] * 8)
+    assert main(["solve", path, "--x0", x0, "--steps", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["solver"]["method"] == "contour"

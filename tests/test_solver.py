@@ -6,7 +6,7 @@ import pytest
 from daesemi import (Pencil, Signal, build_evaluator, cross_check,
                      make_weierstrass, restrict_to_kernel,
                      solve_full, solve_homogeneous, solve_inhomogeneous_ran,
-                     solve_kernel_inhomogeneity)
+                     solve_kernel_inhomogeneity, verify_properties)
 from daesemi.errors import InconsistentInitialValue, LiftFailed, SolverMismatch
 
 TS = np.linspace(0.0, 5.0, 41)
@@ -85,6 +85,25 @@ def test_full_route_matches_oracle(seed):
     scale = max(1.0, np.abs(ref).max())
     assert np.max(np.abs(traj.values - ref)) < 1e-6 * scale
     assert traj.classification == "classical"
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("shape", [(8, 8, 5), (4, 6, 6), (16, 16, 5)])
+def test_default_path_at_high_index(shape, seed):
+    # the integration order comes from the decomposition, so pencils whose
+    # resolvent norm outgrows a sampled slope fit still solve by default
+    n_s, n_n, k = shape
+    p, orc = make_weierstrass(n_s, n_n, k, seed=seed)
+    ev = build_evaluator(p)
+    assert ev.p == k + 1
+    assert verify_properties(ev).all_passed
+    rng = np.random.default_rng(seed)
+    f = Signal.from_terms([(rng.normal(size=p.n_z), 1, -0.3),
+                           (rng.normal(size=p.n_z), 0, 0.2j)])
+    x0 = orc.consistent_x0(rng.normal(size=p.n_x), f)
+    traj = solve_full(p, x0, f, TS)
+    ref = orc.solve(x0, f)(TS)
+    assert np.max(np.abs(traj.values - ref)) < 1e-8 * np.abs(ref).max()
 
 
 def test_full_route_homogeneous_agrees_with_semigroup():
