@@ -14,6 +14,8 @@ from .semigroup import propagator_signal
 from .signals import Signal
 from .subspaces import check_disjointness, hilbert_decomposition
 
+HAMILTONIAN_DRAWS = 12
+
 
 def make_transport(n: int, m: int) -> Pencil:
     """Upwind discretization of a transport line coupled to a stationary one.
@@ -157,7 +159,7 @@ def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_hamiltonian(n: int, rank_E: int, seed=0, max_retries: int = 12) -> Pencil:
+def make_hamiltonian(n: int, rank_E: int, seed=0) -> Pencil:
     """E = B B^H nonnegative, A = skew - positive, regular on Re >= 0.
 
     Instances are regenerated until the range space and ker E intersect
@@ -167,7 +169,7 @@ def make_hamiltonian(n: int, rank_E: int, seed=0, max_retries: int = 12) -> Penc
     if not 0 <= rank_E <= n:
         raise BadShape(f"rank {rank_E} outside [0, {n}]")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(HAMILTONIAN_DRAWS):
         B = rng.normal(size=(n, rank_E)) + 1j * rng.normal(size=(n, rank_E))
         E = B @ B.conj().T
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -184,4 +186,4 @@ def make_hamiltonian(n: int, rank_E: int, seed=0, max_retries: int = 12) -> Penc
         if flags.disjoint_ranE and flags.disjoint_kernel:
             return pen
     raise GenerationFailed(
-        f"no admissible instance after {max_retries} draws")
+        f"no admissible instance after {HAMILTONIAN_DRAWS} draws")

@@ -26,6 +26,7 @@ from .errors import NonFiniteSample, TailTooLarge
 # built from linear solves.
 DEFAULT_ACCEL = 20.0
 EULER_DEPTH = 14
+TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,9 @@ class ContourConfig:
             raise ValueError("n_nodes must be even")
 
 
-def contour_for(t: float, omega: float = 0.0,
-                accel: float = DEFAULT_ACCEL, n_nodes: int = 40) -> ContourConfig:
+def contour_for(t: float, omega: float = 0.0) -> ContourConfig:
     """Contour tuned for inversion at time t given growth abscissa omega."""
-    sigma = max(omega, 0.0) + accel / (2.0 * t)
-    return ContourConfig(sigma=sigma, n_nodes=n_nodes)
+    return ContourConfig(sigma=max(omega, 0.0) + DEFAULT_ACCEL / (2.0 * t))
 
 
 def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
@@ -83,20 +82,20 @@ def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
 
 
 def forward_laplace(g, lam: complex, T: float = 40.0, n: int = 64,
-                    omega: float = 0.0, tail_tol: float = 1e-9) -> np.ndarray:
+                    omega: float = 0.0) -> np.ndarray:
     """Integral of e^{-lam t} g(t) over [0, T] by composite Gauss-Legendre.
 
     The neglected tail is bounded by ||g(T)|| e^{-(Re lam - omega) T} /
     (Re lam - omega) assuming ||g(t)|| <= ||g(T)|| e^{omega (t - T)} for
-    t >= T; a bound above tail_tol raises TailTooLarge.
+    t >= T; a bound above TAIL_TOL raises TailTooLarge.
     """
     decay = lam.real - omega
     gT = np.linalg.norm(np.atleast_1d(np.asarray(g(T), dtype=complex)))
     if decay <= 0:
         raise TailTooLarge(f"Re lambda = {lam.real} does not dominate omega = {omega}")
     tail = gT * abs(np.exp(-lam * T)) / decay
-    if tail > tail_tol:
-        raise TailTooLarge(f"tail bound {tail:.2e} exceeds {tail_tol:.1e}")
+    if tail > TAIL_TOL:
+        raise TailTooLarge(f"tail bound {tail:.2e} exceeds {TAIL_TOL:.1e}")
     nodes, weights = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(0.0, T, n + 1)
     acc = None

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ClosedFormUnavailable, DisjointnessViolated,
-                     NotInXran, SingularAtLambda)
+from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
 from .pencil import COND_CAP, Pencil, default_shift, resolvent
 from .signals import Signal
@@ -82,12 +81,10 @@ class SemigroupEvaluator:
 
 
 def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = None,
-                    backend: str = "closed_form",
-                    decomposition: DecompositionReport | None = None) -> SemigroupEvaluator:
+                    backend: str = "closed_form") -> SemigroupEvaluator:
     """The p_int-times integrated semigroup of p on its range space X_ran.
 
-    ``mu`` defaults to ``default_shift(p)``; a given ``decomposition`` must
-    have been computed at that mu.  ``p_int`` defaults to
+    ``mu`` defaults to ``default_shift(p)``.  ``p_int`` defaults to
     ``decomposition.stagnation_k + 1``: the range chain of R_r(mu) stops
     shrinking at the resolvent index, so no separate index estimate is run.
     """
@@ -96,8 +93,7 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
     omega = p.omega_hint if p.omega_hint is not None else 0.0
     if mu is None:
         mu = default_shift(p)
-    if decomposition is None:
-        decomposition = hilbert_decomposition(p, mu)
+    decomposition = hilbert_decomposition(p, mu)
     if p_int is None:
         p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
@@ -182,15 +178,14 @@ def cp_semigroup(ev: SemigroupEvaluator, t: float) -> np.ndarray:
     return ev.V @ ev.prop(t) @ ev.V.conj().T
 
 
-def f_norm(ev: SemigroupEvaluator, x0: np.ndarray, horizon: float = 10.0,
-           n_grid: int = 200) -> float:
-    """sup over [0, horizon] of ||exp(-omega t) S_r^(p)(t) x0||."""
+def f_norm(ev: SemigroupEvaluator, x0: np.ndarray) -> float:
+    """sup over [0, 10] of ||exp(-omega t) S_r^(p)(t) x0||, on 200 points."""
     c = ev.project(x0)
     if ev.rank == 0:
         return 0.0
     if ev.prop is None:
         raise ClosedFormUnavailable("F-norm needs the closed-form propagator")
-    ts = np.linspace(0.0, horizon, n_grid)
+    ts = np.linspace(0.0, 10.0, 200)
     vals = ev.prop(ts) @ c
     return float(np.max(np.exp(-ev.omega * ts)
                         * np.linalg.norm(vals, axis=1)))

@@ -14,7 +14,7 @@ the smoothness-ladder tests need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -22,6 +22,7 @@ from scipy.special import gamma as _gamma
 from .errors import DimensionMismatch, SmoothnessInsufficient
 
 _MERGE_DIGITS = 9
+_MAX_VANISHING_ORDER = 12
 
 
 def _key(power: float, rate: complex) -> tuple:
@@ -211,25 +212,25 @@ class Signal:
                 return None  # unbounded at 0
         return acc
 
-    def vanishing_order(self, max_order: int = 12, tol: float = 1e-10) -> int:
+    def vanishing_order(self) -> int:
         """Largest q with f(0) = ... = f^{(q-1)}(0) = 0."""
         scale = max((np.max(np.abs(t.coeff)) for t in self.terms), default=0.0)
         if scale == 0.0:
-            return max_order
+            return _MAX_VANISHING_ORDER
         sig = self
-        for q in range(max_order):
+        for q in range(_MAX_VANISHING_ORDER):
             v = sig.value_at_zero()
-            if v is None or np.max(np.abs(v)) > tol * scale:
+            if v is None or np.max(np.abs(v)) > 1e-10 * scale:
                 return q
             sig = sig.derivative()
-        return max_order
+        return _MAX_VANISHING_ORDER
 
     def magnitude(self) -> float:
         return max((np.max(np.abs(t.coeff)) for t in self.terms), default=0.0)
 
-    def trim(self, rel_tol: float = 1e-12) -> "Signal":
+    def trim(self) -> "Signal":
         """Drop terms whose coefficients are negligible relative to the rest."""
-        cut = rel_tol * self.magnitude()
+        cut = 1e-12 * self.magnitude()
         kept = tuple(t for t in self.terms if np.max(np.abs(t.coeff)) > cut)
         return Signal(kept, self.shape)
 

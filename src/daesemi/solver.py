@@ -6,8 +6,9 @@ Four routes to x with d/dt(E x) = A x + f:
   * solve_inhomogeneous_ran: convolution with the integrated semigroup and
     p analytic derivatives, for f valued in Z_ran;
   * solve_full: orthogonal block decomposition of the left resolvent,
-    back-substitution of the algebraic levels, reduced range-space solve,
-    and exponential back-transform — accepts f anywhere in Z;
+    back-substitution of the algebraic levels, the leading block solved
+    directly as an ODE with the propagator of -R00^{-1}, and exponential
+    back-transform — accepts f anywhere in Z;
   * the kernel formula (kernel module) for f valued in Z_ker.
 Every trajectory carries max residuals of the pointwise (classical) and
 integrated (mild) forms of the equation.
@@ -19,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DecompositionUnavailable, InconsistentInitialValue,
-                     LiftFailed, SolverMismatch)
+from .errors import (ClosedFormUnavailable, DecompositionUnavailable,
+                     InconsistentInitialValue, LiftFailed, SolverMismatch)
 from .laplace import bromwich_invert, contour_for
-from .pencil import Pencil, default_shift, resolvent
-from .semigroup import SemigroupEvaluator, build_evaluator
+from .pencil import COND_CAP, Pencil, default_shift, resolvent
+from .semigroup import SemigroupEvaluator, build_evaluator, propagator_signal
 from .signals import Signal
 from .subspaces import (block_left_resolvent, decomposition_basis,
                         hilbert_decomposition)
@@ -178,8 +179,7 @@ def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
 
 def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
                             mu: complex | None = None,
-                            evaluator: SemigroupEvaluator | None = None,
-                            strict: bool = True) -> Trajectory:
+                            evaluator: SemigroupEvaluator | None = None) -> Trajectory:
     """f valued in Z_ran: convolve with S_r, then differentiate p times."""
     ev = evaluator or build_evaluator(p, mu=mu, backend="closed_form")
     Pz = ev.decomposition.Z_ran.projector()
@@ -188,7 +188,7 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
     if off > LIFT_TOL * max(f.magnitude(), 1.0):
         raise LiftFailed(
             f"inhomogeneity leaves the left range space by {off:.2e}")
-    c0, dist = _project_initial(ev, x0, strict)
+    c0, dist = _project_initial(ev, x0, True)
     cons = {"projection_distance": dist}
     if ev.rank == 0:
         return _from_signal(p, Signal.zero(p.n_x), ts, f, consistency=cons)
@@ -206,8 +206,10 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     The substitution w = (mu E - A) e^{-mu t} x turns the DAE into
     d/dt(R_l(mu) w) = -w + e^{-mu t} f; in the ordered decomposition basis
     the resolvent is block upper triangular with zero lower rows, so the
-    algebraic levels resolve bottom-up by differentiation and the leading
-    block is an implicit ODE on Z_ran.  Transforming back multiplies by
+    algebraic levels resolve bottom-up by differentiation.  The leading
+    block d/dt(R00 zeta) = -zeta + h on Z_ran has R00 invertible, so it is
+    solved directly by variation of constants with the propagator
+    exp(-R00^{-1} t).  Transforming back multiplies by
     e^{mu t}(mu E - A)^{-1}.
     """
     if not p.is_square:
@@ -219,26 +221,21 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     B, slices = block_left_resolvent(rep, p, mu)
     U = decomposition_basis(rep, side="Z")
     n_blocks = len(slices)
-    g = f.modulate(-mu).apply(U.conj().T)
-
-    def g_block(i):
-        sl = slices[i]
-        pick = np.zeros((sl.stop - sl.start, p.n_z), dtype=complex)
-        pick[:, sl] = np.eye(sl.stop - sl.start)
-        return g.apply(pick)
+    fm = f.modulate(-mu)
+    g = [fm.apply(U[:, sl].conj().T) for sl in slices]
 
     # algebraic levels, solved bottom-up by differentiation
     z: dict[int, Signal] = {}
     for i in range(n_blocks - 1, 0, -1):
-        acc = g_block(i)
+        acc = g[i]
         for j in range(i + 1, n_blocks):
             Bij = B[slices[i], slices[j]]
             if np.linalg.norm(Bij):
                 acc = acc - z[j].derivative().apply(Bij)
         z[i] = acc
 
-    # reduced problem on Z_ran: d/dt(R00 zeta) = -zeta + h_hat
-    h_hat = g_block(0)
+    # leading block on Z_ran: the ODE d/dt(R00 zeta) = -zeta + h_hat
+    h_hat = g[0]
     for j in range(1, n_blocks):
         B0j = B[slices[0], slices[j]]
         if np.linalg.norm(B0j):
@@ -247,13 +244,12 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     w0 = U.conj().T @ ((mu * p.E - p.A) @ x0)
     if r0 > 0:
         R00 = B[slices[0], slices[0]]
-        reduced = Pencil(R00, -np.eye(r0), name=p.name + ":reduced")
-        zeta0 = w0[slices[0]]
-        # the reduced pencil has an invertible differential part (index 1)
-        red_traj = solve_inhomogeneous_ran(reduced, zeta0, h_hat,
-                                           np.asarray(ts, dtype=float),
-                                           strict=False)
-        z[0] = red_traj.signal
+        if np.linalg.cond(R00) > COND_CAP:
+            raise ClosedFormUnavailable("R_l(mu) is not invertible on the "
+                                        "range space (range and kernel overlap)")
+        R00_inv = np.linalg.solve(R00, np.eye(r0, dtype=complex))
+        prop = propagator_signal(-R00_inv)
+        z[0] = prop.matvec(w0[slices[0]]) + prop.convolve(h_hat.apply(R00_inv))
     else:
         z[0] = Signal.zero(0)
 
@@ -272,13 +268,12 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     return _from_signal(p, x_sig, ts, f, x0=x0, consistency=cons)
 
 
-def cross_check(p: Pencil, t1: Trajectory, t2: Trajectory,
-                tol: float = CROSS_TOL) -> float:
+def cross_check(p: Pencil, t1: Trajectory, t2: Trajectory) -> float:
     """Max pointwise disagreement of two trajectories on a common grid."""
     if t1.values.shape != t2.values.shape:
         raise SolverMismatch("trajectories sampled on different grids")
     scale = max(1.0, float(np.max(np.abs(t1.values))))
     err = float(np.max(np.abs(t1.values - t2.values))) / scale
-    if err > tol:
+    if err > CROSS_TOL:
         raise SolverMismatch(f"solution methods disagree by {err:.2e}")
     return err

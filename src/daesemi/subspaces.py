@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import BasisMismatch, NoStagnation
 from .pencil import (RANK_RCOND, Pencil, SubspaceBasis, null_space,
-                     resolvent)
+                     power_kernel, resolvent)
 
 ANGLE_TOL = 1e-6
 
@@ -95,11 +95,9 @@ def _range_chain(R: np.ndarray, p_max: int) -> list[SubspaceBasis]:
     return chain
 
 
-def stabilized_sequences(p: Pencil, mu: complex,
-                         p_max: int | None = None) -> DecompositionReport:
+def stabilized_sequences(p: Pencil, mu: complex) -> DecompositionReport:
     """Compute the range chains and the stabilized kernels at mu."""
-    if p_max is None:
-        p_max = max(p.n_x, p.n_z) + 1
+    p_max = max(p.n_x, p.n_z) + 1
     R_mu = resolvent(p, mu)
     Rr = R_mu @ p.E
     Rl = p.E @ R_mu
@@ -110,10 +108,8 @@ def stabilized_sequences(p: Pencil, mu: complex,
     stag = max(len(X_chain), len(Z_chain)) - 2
     stag = max(stag, 0)
     p_used = max(stag, 1)
-    X_ker = null_space(np.linalg.matrix_power(Rr, p_used),
-                       scale=np.linalg.norm(Rr, 2) ** p_used)
-    Z_ker = null_space(np.linalg.matrix_power(Rl, p_used),
-                       scale=np.linalg.norm(Rl, 2) ** p_used)
+    X_ker = power_kernel(Rr, p_used)
+    Z_ker = power_kernel(Rl, p_used)
     # trim both chains to the common stagnation power
     def _trim(chain):
         while len(chain) < stag + 2:
@@ -124,10 +120,9 @@ def stabilized_sequences(p: Pencil, mu: complex,
                                X_ker=X_ker, Z_ker=Z_ker, R_mu=R_mu)
 
 
-def hilbert_decomposition(p: Pencil, mu: complex,
-                          p_max: int | None = None) -> DecompositionReport:
+def hilbert_decomposition(p: Pencil, mu: complex) -> DecompositionReport:
     """Fill in the complements W_{.,k} of the range chains."""
-    rep = stabilized_sequences(p, mu, p_max)
+    rep = stabilized_sequences(p, mu)
     for chain, W in ((rep.X_chain, rep.W_X), (rep.Z_chain, rep.W_Z)):
         for k in range(rep.stagnation_k):
             W.append(complement_in(chain[k], chain[k + 1]))

@@ -106,6 +106,17 @@ def test_default_path_at_high_index(shape, seed):
     assert np.max(np.abs(traj.values - ref)) < 1e-8 * np.abs(ref).max()
 
 
+def test_full_route_with_finite_eigenvalue_at_twice_the_shift():
+    # the leading block is an ODE in its own right; it needs no second shift,
+    # so an eigenvalue at mu + 2 (here 4 with mu = 2) must not matter
+    p = Pencil(np.diag([1.0, 0.0]), np.diag([4.0, 1.0]))
+    ts = np.linspace(0.0, 1.0, 11)
+    traj = solve_full(p, [1.0, -1.0], Signal.constant([1.0, 1.0]), ts, mu=2.0)
+    exact = np.column_stack([1.25 * np.exp(4.0 * ts) - 0.25, -np.ones_like(ts)])
+    assert np.max(np.abs(traj.values - exact)) < 1e-10
+    assert traj.classification == "classical"
+
+
 def test_full_route_homogeneous_agrees_with_semigroup():
     p, orc = make_weierstrass(2, 1, 1, seed=50)
     ev = build_evaluator(p)
