@@ -19,8 +19,8 @@ from . import generators
 from .errors import (BadShape, DaesemiError, DimensionMismatch, ShapeMismatch)
 from .fileio import (RunReport, read_pencil, read_signal, trajectory_csv,
                      write_pencil)
-from .pencil import (Pencil, chain_index, default_shift,
-                     estimate_resolvent_index, right_resolvent)
+from .pencil import (Pencil, chain_index, estimate_resolvent_index,
+                     right_resolvent)
 from .semigroup import build_evaluator, cp_semigroup, verify_properties
 from .solver import solve_full, solve_homogeneous
 from .subspaces import check_disjointness, hilbert_decomposition
@@ -55,8 +55,8 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     p = read_pencil(args.pencil)
     idx = estimate_resolvent_index(p)
-    mu = _parse_complex(args.mu) if args.mu else default_shift(p)
-    rep = hilbert_decomposition(p, mu)
+    rep = hilbert_decomposition(p, _parse_complex(args.mu) if args.mu else None)
+    mu = rep.mu
     flags = check_disjointness(rep, p)
     q, _ = chain_index(p)
     out = RunReport(

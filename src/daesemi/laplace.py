@@ -5,8 +5,12 @@ pi/t, which turns the contour sum into an alternating series, accelerated
 by Euler (binomial) averaging of the partial sums.  With the abscissa
 pushed to ``omega + accel/(2t)`` the aliasing error of the trapezoid rule
 is of order exp(-accel) while round-off grows like exp(accel/2) times the
-sampling error of the transform, giving roughly 1e-8 absolute accuracy
-for transforms evaluated through linear solves.
+sampling error of the transform.  Transforms sampled by backward-stable
+solves (triangular solves with the pencil's QZ form) carry a relative
+error near cond(lam E - A) * 1e-16, so at resolvent index 1 and 2 the
+aliasing term dominates and inversion is accurate to about 1e-9 relative;
+from index 3 on, cond grows like |lam|^p at the far nodes and round-off
+takes over.
 
 The forward transform is a composite Gauss-Legendre quadrature on a
 truncated horizon with an explicit tail bound.
@@ -22,8 +26,8 @@ import numpy as np
 from .errors import NonFiniteSample, TailTooLarge
 
 # Balances the trapezoid aliasing error exp(-accel) against round-off
-# amplification exp(accel/2) * eps_F, where eps_F ~ 1e-12 for transforms
-# built from linear solves.
+# amplification exp(accel/2) * eps_F, where eps_F ~ cond(lam E - A) * 1e-16
+# is the relative error of one backward-stable (triangular) solve.
 DEFAULT_ACCEL = 20.0
 EULER_DEPTH = 14
 TAIL_TOL = 1e-9

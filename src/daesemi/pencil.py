@@ -4,7 +4,8 @@ The pencil lives between spaces of dimension n_x and n_z.  Square pencils
 admit the resolvent (lam*E - A)^{-1}; rectangular ones are analysis-only and
 use the least-squares (Moore-Penrose) resolvent, which is the discrete
 analogue of an operator that is invertible between function spaces of
-different "coordinate" dimensions.
+different "coordinate" dimensions.  Square pencils that are solved at many
+shifts are factored once into complex QZ form (``QZForm``).
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrcon, ztrtrs
 
 from .errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
 
 COND_CAP = 1e12
+# Cap for sampled resolvents (index fit, contour nodes): norms growing like
+# |lam|^p_res are measured there and must not be mistaken for singularity.
+SAMPLE_COND_CAP = 1e15
 RANK_RCOND = 1e-10
 TOL_SLOPE = 0.15
 
@@ -58,6 +64,20 @@ class Pencil:
 def default_shift(p: Pencil) -> float:
     """The shift mu used when none is given: two right of the growth hint."""
     return (p.omega_hint or 0.0) + 2.0
+
+
+def spectral_shift(p: Pencil) -> float | None:
+    """Two right of the largest real part of the finite eigenvalues.
+
+    The fallback when a finite eigenvalue sits at ``default_shift(p)``; it
+    costs a generalized eigenvalue solve, so it is computed only then.
+    None for rectangular pencils and pencils with no finite eigenvalue.
+    """
+    if not p.is_square:
+        return None
+    w = scipy.linalg.eigvals(p.A, p.E)
+    w = w[np.isfinite(w)]
+    return float(np.max(w.real)) + 2.0 if w.size else None
 
 
 @dataclass(frozen=True)
@@ -139,6 +159,47 @@ def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray
     return np.linalg.solve(M, np.eye(p.n_z, dtype=complex))
 
 
+@dataclass(frozen=True)
+class QZForm:
+    """Complex QZ form A = Q AA Z^H, E = Q EE Z^H of a square pencil.
+
+    AA and EE are upper triangular (Moler & Stewart, SIAM J. Numer. Anal.
+    1973), so every shifted system (lam E - A) x = b is the triangular
+    system (lam EE - AA) y = Q^H b with x = Z y: one O(n^2) solve per shift
+    after one O(n^3) factorization (Laub, IEEE TAC 1981).
+    """
+
+    AA: np.ndarray
+    EE: np.ndarray
+    Q: np.ndarray
+    Z: np.ndarray
+
+    @classmethod
+    def of(cls, p: Pencil) -> "QZForm":
+        return cls(*scipy.linalg.qz(p.A, p.E, output="complex"))
+
+    def shifted_solver(self, b: np.ndarray):
+        """lam -> (lam E - A)^{-1} b, with Q^H b formed once.
+
+        Each call gates lam EE - AA by its LAPACK 1-norm condition estimate
+        and raises SingularAtLambda above SAMPLE_COND_CAP.
+        """
+        c = self.Q.conj().T @ np.asarray(b, dtype=complex)
+
+        def solve(lam: complex) -> np.ndarray:
+            T = lam * self.EE - self.AA
+            rcond, info = ztrcon(T)
+            if (info != 0 or not T.diagonal().all()
+                    or not rcond >= 1.0 / SAMPLE_COND_CAP):
+                raise SingularAtLambda(f"rcond {rcond:.2e} at lambda={lam}")
+            y, info = ztrtrs(T, c)
+            if info != 0:
+                raise SingularAtLambda(f"zero pivot at lambda={lam}")
+            return self.Z @ y
+
+        return solve
+
+
 def right_resolvent(p: Pencil, lam: complex) -> np.ndarray:
     """R_r(lam) = (lam E - A)^{-1} E, acting on the x-space."""
     return resolvent(p, lam) @ p.E
@@ -174,11 +235,11 @@ def estimate_resolvent_index(p: Pencil) -> IndexReport:
     omega = p.omega_hint if p.omega_hint is not None else 0.0
     lam_min = max(10.0, omega + 1.0)
     lams = np.geomspace(lam_min, 1e3, 16)
-    sample_cap = 1e15
     norms = []
     for lam in lams:
         try:
-            norms.append(np.linalg.norm(resolvent(p, lam, cond_cap=sample_cap), 2))
+            norms.append(np.linalg.norm(
+                resolvent(p, lam, cond_cap=SAMPLE_COND_CAP), 2))
         except SingularAtLambda as exc:
             raise NotRegularOnRay(f"singular sample at {lam}") from exc
     norms = np.array(norms)
@@ -191,7 +252,7 @@ def estimate_resolvent_index(p: Pencil) -> IndexReport:
     sigma = lam_min
     try:
         vnorms = np.array([np.linalg.norm(
-            resolvent(p, sigma + 1j * h, cond_cap=sample_cap), 2)
+            resolvent(p, sigma + 1j * h, cond_cap=SAMPLE_COND_CAP), 2)
             for h in lams])
         vlams = np.abs(sigma + 1j * lams)
         p_vert = _p_from_slope(_fit_slope(vlams, vnorms))

@@ -5,7 +5,8 @@ characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
 closed-form backend restricts R_r(mu) to X_ran, inverts it to obtain the
 generator A_R = mu I - (restricted R_r(mu))^{-1}, and integrates the
 matrix exponential analytically.  The contour backend inverts
-R_r(lam) x0 / lam^p numerically and needs no invertibility.
+R_r(lam) x0 / lam^p numerically and needs no invertibility; on square
+pencils its samples are triangular solves with the evaluator's one QZ form.
 
 S_l comes from the transformed pencil (E (mu E - A)^{-1}, A (mu E - A)^{-1}),
 whose right objects coincide with the left objects of the original pencil.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
-from .pencil import COND_CAP, Pencil, default_shift, resolvent
+from .pencil import COND_CAP, SAMPLE_COND_CAP, Pencil, QZForm, resolvent
 from .signals import Signal
 from .subspaces import (DecompositionReport, check_disjointness,
                         hilbert_decomposition)
@@ -61,6 +62,7 @@ class SemigroupEvaluator:
     prop: Signal | None                # exp(t A_R), matrix signal
     S_coord: Signal | None             # p-fold antiderivative of prop
     _left: "SemigroupEvaluator | None" = field(default=None, repr=False)
+    _qz: QZForm | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -84,38 +86,35 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
                     backend: str = "closed_form") -> SemigroupEvaluator:
     """The p_int-times integrated semigroup of p on its range space X_ran.
 
-    ``mu`` defaults to ``default_shift(p)``.  ``p_int`` defaults to
-    ``decomposition.stagnation_k + 1``: the range chain of R_r(mu) stops
-    shrinking at the resolvent index, so no separate index estimate is run.
+    ``mu`` defaults to the shift ``hilbert_decomposition`` picks.  ``p_int``
+    defaults to ``decomposition.stagnation_k + 1``: the range chain of
+    R_r(mu) stops shrinking at the resolvent index, so no separate index
+    estimate is run.  The contour backend stops after the generator and its
+    growth bound; it never reads the closed form, so ``prop`` and
+    ``S_coord`` stay None.
     """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
     omega = p.omega_hint if p.omega_hint is not None else 0.0
-    if mu is None:
-        mu = default_shift(p)
     decomposition = hilbert_decomposition(p, mu)
+    mu = decomposition.mu
     if p_int is None:
         p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
     r = V.shape[1]
     A_R = prop = S_coord = None
-    closed_err = None
     if r > 0:
         R_restr = V.conj().T @ (decomposition.R_mu @ p.E) @ V
-        try:
-            if np.linalg.cond(R_restr) > COND_CAP:
-                raise ClosedFormUnavailable(
-                    "R_r(mu) is not invertible on the range space "
-                    "(range and kernel overlap)")
+        if np.linalg.cond(R_restr) <= COND_CAP:
             A_R = mu * np.eye(r) - np.linalg.solve(
                 R_restr, np.eye(r, dtype=complex))
+        elif backend == "closed_form":
+            raise ClosedFormUnavailable(
+                "R_r(mu) is not invertible on the range space "
+                "(range and kernel overlap)")
+        if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
-        except ClosedFormUnavailable as exc:
-            closed_err = exc
-            A_R = prop = S_coord = None
-    if backend == "closed_form" and r > 0 and S_coord is None:
-        raise closed_err
     if A_R is not None and A_R.size:
         omega_growth = max(float(np.max(np.linalg.eigvals(A_R).real)), omega)
     else:
@@ -124,6 +123,23 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
                               decomposition=decomposition, omega=omega_growth,
                               V=V, A_R=A_R, prop=prop,
                               S_coord=S_coord)
+
+
+def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
+    """lam -> (lam E - A)^{-1} E x0, the Laplace transform of the solution.
+
+    Square pencils are factored into QZ form once per evaluator, on the
+    first call, and each sample is one triangular solve; rectangular pencils
+    use the least-squares resolvent.  Both refuse a sample above
+    SAMPLE_COND_CAP with SingularAtLambda.
+    """
+    pen = ev.pencil
+    b = pen.E @ x0
+    if not pen.is_square:
+        return lambda lam: resolvent(pen, lam, cond_cap=SAMPLE_COND_CAP) @ b
+    if ev._qz is None:
+        ev._qz = QZForm.of(pen)
+    return ev._qz.shifted_solver(b)
 
 
 def _left_evaluator(ev: SemigroupEvaluator) -> SemigroupEvaluator:
@@ -144,13 +160,9 @@ def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:
         return np.zeros(ev.pencil.n_x, dtype=complex)
     if ev.backend == "closed_form":
         return ev.V @ (ev.S_coord(t) @ c)
-    x0p = ev.V @ c
-    pen, pp = ev.pencil, ev.p
-
-    def F(lam):
-        return (resolvent(pen, lam, cond_cap=1e15) @ (pen.E @ x0p)) / lam ** pp
-
-    return bromwich_invert(F, t, contour_for(t, omega=ev.omega))
+    sample, pp = transform_sampler(ev, ev.V @ c), ev.p
+    return bromwich_invert(lambda lam: sample(lam) / lam ** pp, t,
+                           contour_for(t, omega=ev.omega))
 
 
 def eval_S_l(ev: SemigroupEvaluator, t: float, z0: np.ndarray) -> np.ndarray:

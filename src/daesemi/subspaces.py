@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BasisMismatch, NoStagnation
-from .pencil import (RANK_RCOND, Pencil, SubspaceBasis, null_space,
-                     power_kernel, resolvent)
+from .errors import BasisMismatch, NoStagnation, SingularAtLambda
+from .pencil import (RANK_RCOND, Pencil, SubspaceBasis, default_shift,
+                     null_space, power_kernel, resolvent, spectral_shift)
 
 ANGLE_TOL = 1e-6
 
@@ -120,9 +120,23 @@ def stabilized_sequences(p: Pencil, mu: complex) -> DecompositionReport:
                                X_ker=X_ker, Z_ker=Z_ker, R_mu=R_mu)
 
 
-def hilbert_decomposition(p: Pencil, mu: complex) -> DecompositionReport:
-    """Fill in the complements W_{.,k} of the range chains."""
-    rep = stabilized_sequences(p, mu)
+def hilbert_decomposition(p: Pencil, mu: complex | None = None) -> DecompositionReport:
+    """Fill in the complements W_{.,k} of the range chains.
+
+    Without ``mu`` the shift is ``default_shift(p)``; if a finite eigenvalue
+    makes that shift singular, it moves once to ``spectral_shift(p)``.  The
+    shift used is ``rep.mu``.
+    """
+    if mu is not None:
+        rep = stabilized_sequences(p, mu)
+    else:
+        try:
+            rep = stabilized_sequences(p, default_shift(p))
+        except SingularAtLambda:
+            mu = spectral_shift(p)
+            if mu is None:
+                raise
+            rep = stabilized_sequences(p, mu)
     for chain, W in ((rep.X_chain, rep.W_X), (rep.Z_chain, rep.W_Z)):
         for k in range(rep.stagnation_k):
             W.append(complement_in(chain[k], chain[k + 1]))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from daesemi import (Pencil, chain_index, estimate_resolvent_index,
-                     left_resolvent, resolvent, right_resolvent)
+from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
+                     contour_for, estimate_resolvent_index, left_resolvent,
+                     make_weierstrass, resolvent, right_resolvent)
 from daesemi.errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
+from daesemi.pencil import SAMPLE_COND_CAP, QZForm
 
 from conftest import nilpotent_of_index
 
@@ -104,3 +106,48 @@ def test_rectangular_pencil_resolvent():
     R = resolvent(p, 2.0)
     # least-squares resolvent is a left inverse at full column rank
     assert np.allclose(R @ (2.0 * p.E - p.A), np.eye(7), atol=1e-8)
+
+
+def _contour_nodes(t, omega):
+    lams = []
+    bromwich_invert(lambda lam: lams.append(lam) or 0.0, t,
+                    contour_for(t, omega))
+    return lams
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_qz_shifted_solve_matches_resolvent(k):
+    """Backward stable at every contour node, and agrees with the explicit
+    resolvent to 1e-10 relative; at index 3 and 4 the far nodes make
+    lam E - A so ill-conditioned that any two stable solves differ by up to
+    cond * eps, so there the agreement is asked to within 1e-14 * cond."""
+    p, _ = make_weierstrass(6, 6, k, seed=70 + k)
+    ev = build_evaluator(p, backend="contour")
+    rng = np.random.default_rng(k)
+    b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
+    solve = QZForm.of(p).shifted_solver(b)
+    for t in (0.25, 1.0, 1.5):
+        for lam in _contour_nodes(t, ev.omega):
+            M = lam * p.E - p.A
+            x = solve(lam)
+            assert np.linalg.norm(M @ x - b) <= 1e-14 * (
+                np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(b))
+            ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
+            tol = max(1e-10, 1e-14 * np.linalg.cond(M))
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_qz_shifted_solve_raises_at_eigenvalue(diag_pencil):
+    solve = QZForm.of(diag_pencil).shifted_solver(np.ones(2))
+    with pytest.raises(SingularAtLambda):
+        solve(-1.0)
+    assert np.allclose(solve(1.0), [0.5, 1.0 / 3.0])
+
+
+def test_qz_shifted_solve_raises_on_singular_pencil():
+    # det(lam E - A) = 0 for every lam
+    E = np.array([[0.0, 1.0], [0.0, 0.0]])
+    solve = QZForm.of(Pencil(E, E.copy())).shifted_solver(np.ones(2))
+    for lam in (2.0, 5.0 + 3.0j):
+        with pytest.raises(SingularAtLambda):
+            solve(lam)

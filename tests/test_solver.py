@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from daesemi import (Pencil, Signal, build_evaluator, cross_check,
-                     make_weierstrass, restrict_to_kernel,
-                     solve_full, solve_homogeneous, solve_inhomogeneous_ran,
-                     solve_kernel_inhomogeneity, verify_properties)
+from daesemi import (Pencil, Signal, bromwich_invert, build_evaluator,
+                     contour_for, cross_check, make_weierstrass,
+                     restrict_to_kernel, solve_full, solve_homogeneous,
+                     solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
+                     verify_properties)
 from daesemi.errors import InconsistentInitialValue, LiftFailed, SolverMismatch
 
 TS = np.linspace(0.0, 5.0, 41)
@@ -37,6 +38,56 @@ def test_homogeneous_contour_matches_decomp():
     err = cross_check(p, t_dec, t_con)
     assert err < 1e-6
     assert t_con.classification in ("classical", "mild")
+
+
+# Below every error that per-node explicit inverses gave on these cases:
+# index 1: 1.2e-10, index 2: 5.8e-9, index 3: 1.6e-6 (smallest over cases).
+CONTOUR_SAMPLING_BOUND = {1: 1e-10, 2: 4e-9, 3: 1e-6}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_homogeneous_contour_accuracy_against_oracle(k):
+    """Contour error against the oracle, split into its two sources.
+
+    Inverting the oracle's exact transform on the same nodes gives the
+    quadrature's own error; what the contour trajectory adds on top of it
+    comes from sampling (lam E - A)^{-1} E x0.
+    """
+    ts = np.array([0.5, 1.0, 1.5])
+    for n in (16, 32):
+        for seed in range(4):
+            p, orc = make_weierstrass(n // 2, n // 2, k, seed=seed)
+            rng = np.random.default_rng(seed)
+            x0 = orc.consistent_x0(rng.normal(size=n) + 1j * rng.normal(size=n))
+            ev = build_evaluator(p, backend="contour")
+            traj = solve_homogeneous(p, x0, ts, method="contour", evaluator=ev)
+            exact = orc.solve(x0)
+            ref = exact(ts)
+            quad = np.array([bromwich_invert(exact.laplace, t,
+                                             contour_for(t, ev.omega))
+                             for t in ts])
+            scale = np.max(np.abs(ref))
+            sampling = np.max(np.abs(traj.values - quad)) / scale
+            floor = np.max(np.abs(quad - ref)) / scale
+            oracle = np.max(np.abs(traj.values - ref)) / scale
+            assert sampling <= CONTOUR_SAMPLING_BOUND[k], (n, seed, sampling)
+            assert oracle <= floor + CONTOUR_SAMPLING_BOUND[k], (n, seed, oracle)
+
+
+@pytest.mark.parametrize("method", ["decomp", "contour"])
+def test_default_shift_moves_off_a_finite_eigenvalue(method):
+    # the finite eigenvalue 2 sits at the default shift omega_hint + 2
+    p = Pencil(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]), omega_hint=0.0)
+    ev = build_evaluator(p, backend="closed_form" if method == "decomp"
+                         else "contour")
+    assert (ev.p, ev.rank) == (2, 1)
+    assert ev.mu == pytest.approx(4.0) and ev.omega == pytest.approx(2.0)
+    ts = np.linspace(0.0, 1.0, 11)
+    traj = solve_homogeneous(p, [1.0, 0.0], ts, method=method, evaluator=ev)
+    exact = np.column_stack([np.exp(2.0 * ts), np.zeros_like(ts)])
+    assert np.max(np.abs(traj.values - exact)) < 1e-8 * np.exp(2.0)
+    if method == "decomp":
+        assert traj.classification == "classical"
 
 
 def test_homogeneous_rejects_inadmissible_x0():
