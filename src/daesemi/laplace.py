@@ -30,6 +30,7 @@ from .errors import NonFiniteSample, TailTooLarge
 # is the relative error of one backward-stable (triangular) solve.
 DEFAULT_ACCEL = 20.0
 EULER_DEPTH = 14
+N_NODES = 40  # conjugate node pairs summed before Euler averaging
 TAIL_TOL = 1e-9
 
 
@@ -37,16 +38,10 @@ TAIL_TOL = 1e-9
 class ContourConfig:
     """Vertical-line contour for inversion.
 
-    sigma: line abscissa (must lie right of all singularities of F);
-    n_nodes: conjugate node pairs summed before Euler averaging.
+    sigma: line abscissa (must lie right of all singularities of F).
     """
 
     sigma: float
-    n_nodes: int = 40
-
-    def __post_init__(self):
-        if self.n_nodes % 2 != 0:
-            raise ValueError("n_nodes must be even")
 
 
 def contour_for(t: float, omega: float = 0.0) -> ContourConfig:
@@ -65,7 +60,6 @@ def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
         raise ValueError("inversion time must be positive")
     sigma = cfg.sigma
     h = math.pi / t
-    n0 = cfg.n_nodes
     m = EULER_DEPTH
 
     def sample(lam):
@@ -76,10 +70,10 @@ def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
 
     acc = sample(sigma)
     partials = []
-    for k in range(1, n0 + m + 1):
+    for k in range(1, N_NODES + m + 1):
         acc = acc + (-1) ** k * (sample(sigma + 1j * k * h)
                                  + sample(sigma - 1j * k * h))
-        if k >= n0:
+        if k >= N_NODES:
             partials.append(acc.copy())
     euler = sum(math.comb(m, j) * partials[j] for j in range(m + 1)) / 2.0 ** m
     return euler * (h * math.exp(sigma * t) / (2.0 * math.pi))

@@ -121,7 +121,6 @@ class IndexReport:
     fitted_slope: float
     p_res: int
     growth_constant: float
-    omega_used: float
     p_res_vertical: int | None = None
     axis_consistent: bool = True
 
@@ -145,11 +144,13 @@ def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray
     """(lam E - A)^{-1}; least-squares pseudoinverse for rectangular pencils."""
     M = pencil_matrix(p, lam)
     if not p.is_square:
-        # analysis-only: full column rank required
-        s = np.linalg.svd(M, compute_uv=False)
+        # analysis-only: full column rank required; the pseudoinverse is
+        # formed from the same SVD, truncated as np.linalg.pinv would
+        u, s, vh = np.linalg.svd(M, full_matrices=False)
         if s[-1] <= s[0] / cond_cap:
             raise SingularAtLambda(f"rank-deficient at lambda={lam}")
-        return np.linalg.pinv(M, rcond=RANK_RCOND)
+        keep = s > RANK_RCOND * s[0]
+        return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
     try:
         cond = np.linalg.cond(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -222,44 +223,53 @@ def _p_from_slope(slope: float) -> int:
     return max(0, math.ceil(slope + 1.0 - TOL_SLOPE))
 
 
+def _sample_norms(p: Pencil, lams: np.ndarray) -> np.ndarray:
+    """||(lam E - A)^+||_2 = 1/sigma_min at each lam, from one batched SVD.
+
+    Raises SingularAtLambda where sigma_min <= sigma_max / SAMPLE_COND_CAP,
+    the gate ``resolvent`` applies with that cap.
+    """
+    s = np.linalg.svd(lams[:, None, None] * p.E - p.A, compute_uv=False)
+    bad = s[:, -1] <= s[:, 0] / SAMPLE_COND_CAP
+    if np.any(bad):
+        raise SingularAtLambda(f"singular sample at {lams[np.argmax(bad)]}")
+    return 1.0 / s[:, -1]
+
+
 def estimate_resolvent_index(p: Pencil) -> IndexReport:
     """Fit the growth exponent of ||(lam E - A)^{-1}|| on the real ray.
 
     Samples 16 geometrically spaced points from max(10, omega + 1) to 1e3.
 
     Also fits along a vertical line as a cross-check, since the half-plane
-    bound is only exercised on the real axis.  Sampling relaxes the usual
-    condition-number cap: resolvent norms growing like lam**p_res are the
-    very thing being measured and must not be mistaken for singularity.
+    bound is only exercised on the real axis.  Each line's norms are the
+    reciprocal smallest singular values of one batched SVD of the stacked
+    lam E - A (the least-squares resolvent's norm on rectangular pencils).
+    Sampling relaxes the usual condition-number cap: resolvent norms
+    growing like lam**p_res are the very thing being measured and must not
+    be mistaken for singularity.
     """
     omega = p.omega_hint if p.omega_hint is not None else 0.0
     lam_min = max(10.0, omega + 1.0)
     lams = np.geomspace(lam_min, 1e3, 16)
-    norms = []
-    for lam in lams:
-        try:
-            norms.append(np.linalg.norm(
-                resolvent(p, lam, cond_cap=SAMPLE_COND_CAP), 2))
-        except SingularAtLambda as exc:
-            raise NotRegularOnRay(f"singular sample at {lam}") from exc
-    norms = np.array(norms)
+    try:
+        norms = _sample_norms(p, lams)
+    except SingularAtLambda as exc:
+        raise NotRegularOnRay(str(exc)) from exc
     slope = _fit_slope(lams, norms)
     p_res = _p_from_slope(slope)
     # growth constant C with ||resolvent|| <= C |lam|^{p_res - 1}
     C = float(np.max(norms / lams ** (p_res - 1)))
 
     # vertical-line cross-check at fixed real part, at the ray's sample heights
-    sigma = lam_min
+    vlams = lam_min + 1j * lams
     try:
-        vnorms = np.array([np.linalg.norm(
-            resolvent(p, sigma + 1j * h, cond_cap=SAMPLE_COND_CAP), 2)
-            for h in lams])
-        vlams = np.abs(sigma + 1j * lams)
-        p_vert = _p_from_slope(_fit_slope(vlams, vnorms))
+        p_vert = _p_from_slope(_fit_slope(np.abs(vlams),
+                                          _sample_norms(p, vlams)))
     except SingularAtLambda:
         p_vert = None
     return IndexReport(sample_points=lams, norms=norms, fitted_slope=slope,
-                       p_res=p_res, growth_constant=C, omega_used=lam_min,
+                       p_res=p_res, growth_constant=C,
                        p_res_vertical=p_vert,
                        axis_consistent=(p_vert is None or p_vert == p_res))
 

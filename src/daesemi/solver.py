@@ -27,7 +27,7 @@ from .laplace import bromwich_invert, contour_for
 # on this module.
 from .pencil import COND_CAP, Pencil, resolvent  # noqa: F401
 from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
-                        transform_sampler)
+                        require_closed_form, transform_sampler)
 from .signals import Signal
 from .subspaces import (block_left_resolvent, decomposition_basis,
                         hilbert_decomposition)
@@ -149,15 +149,16 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     (held by the evaluator) and each of the 109 nodes per time is one
     triangular solve with lam EE - AA, gated by its condition estimate.
     """
+    if method not in ("decomp", "contour"):
+        raise ValueError(f"unknown method {method!r}")
     backend = "closed_form" if method == "decomp" else "contour"
     ev = evaluator or build_evaluator(p, mu=mu, backend=backend)
     c, dist = _project_initial(ev, x0, strict)
     cons = {"projection_distance": dist}
     if method == "decomp":
+        require_closed_form(ev, "the decomp method")
         sig = ev.prop.matvec(c).apply(ev.V) if ev.rank else Signal.zero(p.n_x)
         return _from_signal(p, sig, ts, None, x0=ev.V @ c, consistency=cons)
-    if method != "contour":
-        raise ValueError(f"unknown method {method!r}")
     x0p = ev.V @ c
     sample = transform_sampler(ev, x0p)
     ts = np.asarray(ts, dtype=float)
@@ -192,6 +193,7 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
                             evaluator: SemigroupEvaluator | None = None) -> Trajectory:
     """f valued in Z_ran: convolve with S_r, then differentiate p times."""
     ev = evaluator or build_evaluator(p, mu=mu, backend="closed_form")
+    require_closed_form(ev, "the convolution route")
     Pz = ev.decomposition.Z_ran.projector()
     off = max(np.linalg.norm(t.coeff - Pz @ t.coeff) for t in f.terms) \
         if f.terms else 0.0

@@ -60,7 +60,6 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
 @dataclass
 class DecompositionReport:
     mu: complex
-    p_used: int
     stagnation_k: int
     X_chain: list[SubspaceBasis]  # X_0 ) X_1 ) ... (index = power k)
     Z_chain: list[SubspaceBasis]
@@ -69,8 +68,6 @@ class DecompositionReport:
     R_mu: np.ndarray  # (mu E - A)^{-1}, shared by every later stage
     W_X: list[SubspaceBasis] = field(default_factory=list)  # W_X[i] = level i+1
     W_Z: list[SubspaceBasis] = field(default_factory=list)
-    disjoint_ranE: bool | None = None
-    disjoint_kernel: bool | None = None
 
     @property
     def X_ran(self) -> SubspaceBasis:
@@ -115,7 +112,7 @@ def stabilized_sequences(p: Pencil, mu: complex) -> DecompositionReport:
         while len(chain) < stag + 2:
             chain = chain + [chain[-1]]
         return chain[:stag + 2]
-    return DecompositionReport(mu=mu, p_used=p_used, stagnation_k=stag,
+    return DecompositionReport(mu=mu, stagnation_k=stag,
                                X_chain=_trim(X_chain), Z_chain=_trim(Z_chain),
                                X_ker=X_ker, Z_ker=Z_ker, R_mu=R_mu)
 
@@ -196,7 +193,7 @@ def check_disjointness(rep: DecompositionReport, p: Pencil,
     ker_E = null_space(p.E)
     ang_E = principal_angles(rep.X_ran, ker_E)
     ang_K = principal_angles(rep.X_ran, rep.X_ker)
-    flags = DisjointnessFlags(
+    return DisjointnessFlags(
         disjoint_ranE=bool(ang_E.size == 0 or ang_E[0] > angle_tol),
         disjoint_kernel=bool(ang_K.size == 0 or ang_K[0] > angle_tol),
         dim_Xran_cap_Xker=intersection_dim(rep.X_ran, rep.X_ker, angle_tol),
@@ -204,6 +201,3 @@ def check_disjointness(rep: DecompositionReport, p: Pencil,
         min_angle_kerE=float(ang_E[0]) if ang_E.size else np.pi / 2,
         min_angle_Xker=float(ang_K[0]) if ang_K.size else np.pi / 2,
     )
-    rep.disjoint_ranE = flags.disjoint_ranE
-    rep.disjoint_kernel = flags.disjoint_kernel
-    return flags

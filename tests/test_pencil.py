@@ -5,9 +5,10 @@ import pytest
 
 from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
                      contour_for, estimate_resolvent_index, left_resolvent,
-                     make_weierstrass, resolvent, right_resolvent)
+                     make_transport, make_weierstrass, resolvent,
+                     right_resolvent)
 from daesemi.errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
-from daesemi.pencil import SAMPLE_COND_CAP, QZForm
+from daesemi.pencil import RANK_RCOND, SAMPLE_COND_CAP, QZForm
 
 from conftest import nilpotent_of_index
 
@@ -67,12 +68,26 @@ def test_index_ode_pencil(diag_pencil):
     assert q == 0
 
 
+def _sampled_resolvent_norms(p, lams):
+    """Norms of the explicit resolvent, and the condition numbers of lam E - A."""
+    norms = [np.linalg.norm(resolvent(p, lam, cond_cap=SAMPLE_COND_CAP), 2)
+             for lam in lams]
+    return np.array(norms), np.array([np.linalg.cond(lam * p.E - p.A)
+                                      for lam in lams])
+
+
 def test_index_mixed_weierstrass():
-    from daesemi import make_weierstrass
     for k in (1, 2, 3):
         p, _ = make_weierstrass(2, 3, k, seed=10 + k)
-        assert estimate_resolvent_index(p).p_res == k
+        rep = estimate_resolvent_index(p)
+        assert rep.p_res == k
         assert chain_index(p)[0] == k
+        # the batched singular values give the explicit resolvent's norms;
+        # both carry a relative error up to cond * eps, so the agreement
+        # asked for scales with cond where that exceeds 1e-10
+        ref, cond = _sampled_resolvent_norms(p, rep.sample_points)
+        assert np.all(np.abs(rep.norms - ref)
+                      <= np.maximum(1e-10, 1e-15 * cond) * ref)
 
 
 def test_growth_constant_bounds_samples():
@@ -100,12 +115,23 @@ def test_hand_checked_dissipative_example():
 
 
 def test_rectangular_pencil_resolvent():
-    from daesemi import make_transport
     p = make_transport(4, 3)
     assert p.E.shape == (9, 7)
     R = resolvent(p, 2.0)
     # least-squares resolvent is a left inverse at full column rank
     assert np.allclose(R @ (2.0 * p.E - p.A), np.eye(7), atol=1e-8)
+    for lam in (2.0, 2.0 + 3.0j):
+        ref = np.linalg.pinv(lam * p.E - p.A, rcond=RANK_RCOND)
+        assert np.linalg.norm(resolvent(p, lam) - ref) \
+            <= 1e-12 * np.linalg.norm(ref)
+    rep = estimate_resolvent_index(p)
+    ref, _ = _sampled_resolvent_norms(p, rep.sample_points)
+    assert np.allclose(rep.norms, ref, rtol=1e-10, atol=0.0)
+    # a zero column makes lam E - A rank-deficient at every lam
+    E = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(SingularAtLambda):
+        resolvent(Pencil(E, A), 2.0)
 
 
 def _contour_nodes(t, omega):

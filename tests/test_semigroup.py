@@ -50,6 +50,12 @@ def test_starts_at_zero_and_rejects_outside_vectors():
     ker_vec = ev.decomposition.X_ker.basis[:, 0]
     with pytest.raises(NotInXran):
         eval_S_r(ev, 1.0, ker_vec)
+    # a matrix of columns is projected column by column
+    with pytest.raises(NotInXran):
+        ev.project(np.column_stack([x0, ker_vec]))
+    X = ev.V @ np.array([[1.0, 2.0], [-0.5, 1.0j]])
+    assert np.allclose(ev.project(X), np.column_stack(
+        [ev.project(X[:, 0]), ev.project(X[:, 1])]), rtol=0, atol=1e-14)
 
 
 def test_left_and_right_intertwine():

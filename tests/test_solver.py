@@ -8,7 +8,8 @@ from daesemi import (Pencil, Signal, bromwich_invert, build_evaluator,
                      restrict_to_kernel, solve_full, solve_homogeneous,
                      solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
                      verify_properties)
-from daesemi.errors import InconsistentInitialValue, LiftFailed, SolverMismatch
+from daesemi.errors import (ClosedFormUnavailable, InconsistentInitialValue,
+                            LiftFailed, SolverMismatch)
 
 TS = np.linspace(0.0, 5.0, 41)
 
@@ -95,6 +96,27 @@ def test_homogeneous_rejects_inadmissible_x0():
     bad = build_evaluator(p).decomposition.X_ker.basis[:, 0]
     with pytest.raises(InconsistentInitialValue):
         solve_homogeneous(p, bad, TS)
+
+
+_SINGULAR = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda p, ev: solve_homogeneous(p, ev.V[:, 0], TS, method="decomp",
+                                     evaluator=ev), ClosedFormUnavailable),
+    (lambda p, ev: solve_inhomogeneous_ran(p, ev.V[:, 0], Signal.zero(p.n_z),
+                                           TS, evaluator=ev),
+     ClosedFormUnavailable),
+    # refused before an evaluator is built, which would raise
+    # SingularAtLambda on this pencil
+    (lambda p, ev: solve_homogeneous(Pencil(_SINGULAR, _SINGULAR), [1.0, 0.0],
+                                     TS, method="bogus"), ValueError),
+], ids=["decomp", "convolution", "unknown-method"])
+def test_unusable_route_raises_typed_error(call, error):
+    p, _ = make_weierstrass(3, 2, 2, seed=30)
+    ev = build_evaluator(p, backend="contour")
+    with pytest.raises(error):
+        call(p, ev)
 
 
 def test_convolution_route_matches_oracle():
