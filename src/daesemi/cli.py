@@ -87,6 +87,8 @@ def _cmd_solve(args) -> int:
     x0 = _parse_vector(args.x0)
     if x0.size != p.n_x:
         raise DimensionMismatch(f"x0 has {x0.size} entries, pencil {p.n_x}")
+    if not (np.all(np.isfinite(x0)) and np.isfinite([args.t0, args.t1]).all()):
+        raise BadShape("--x0, --t0 and --t1 must be finite")
     f = read_signal(args.signal) if args.signal else None
     if f is not None and f.shape != (p.n_z,):
         raise DimensionMismatch(f"signal shape {f.shape}, pencil Z-dim {p.n_z}")

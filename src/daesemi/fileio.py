@@ -70,7 +70,10 @@ def write_signal(path, sig: Signal) -> None:
 
 def read_signal(path) -> Signal:
     with open(path) as fh:
-        return Signal.from_json_dict(json.load(fh))
+        sig = Signal.from_json_dict(json.load(fh))
+    if not all(np.all(np.isfinite(v)) for v in (sig.coeffs, sig.powers, sig.rates)):
+        raise BadShape("non-finite signal coefficient, power or rate")
+    return sig
 
 
 def trajectory_csv(times, values) -> str:

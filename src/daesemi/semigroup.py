@@ -42,9 +42,12 @@ def propagator_signal(M: np.ndarray) -> Signal:
     if np.linalg.cond(Q) > EIGVEC_COND_CAP:
         raise ClosedFormUnavailable(
             "generator eigenbasis too ill-conditioned for closed form")
+    # eigenpairs in the order Signal sorts its terms, so none is moved
+    order = np.lexsort((w.imag, w.real))
+    w, Q = w[order], Q[:, order]
     Qinv = np.linalg.solve(Q, np.eye(r, dtype=complex))
-    terms = [(np.outer(Q[:, k], Qinv[k, :]), 0, w[k]) for k in range(r)]
-    return Signal.from_terms(terms, shape=(r, r))
+    outer = np.einsum("ik,kj->kij", Q, Qinv, order="C")  # Q[:, k] Qinv[k, :]
+    return Signal.from_terms(zip(outer, np.zeros(r), w), shape=(r, r))
 
 
 @dataclass

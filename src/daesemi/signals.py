@@ -6,6 +6,11 @@ differentiation, antidifferentiation from 0, convolution and Laplace
 transform, which is what makes the solution formulas of the solver modules
 exact instead of quadrature-based.
 
+A signal of K terms is stored as three arrays, ``coeffs`` (K,) + shape,
+``powers`` (K,) and ``rates`` (K,); ``terms`` is a per-term view of them.
+Results in which terms can meet are built by ``_combine``, so the terms of
+every signal have distinct (power, rate) keys, sorted, and none is zero.
+
 Powers are floats so that fractional-smoothness data (t**(q + alpha)) can be
 represented; non-integer powers are only supported with rate 0, which is all
 the smoothness-ladder tests need.
@@ -25,11 +30,6 @@ _MERGE_DIGITS = 9
 _MAX_VANISHING_ORDER = 12
 
 
-def _key(power: float, rate: complex) -> tuple:
-    return (round(power, _MERGE_DIGITS), round(rate.real, _MERGE_DIGITS),
-            round(rate.imag, _MERGE_DIGITS))
-
-
 @dataclass(frozen=True)
 class Term:
     coeff: np.ndarray
@@ -41,8 +41,18 @@ class Term:
 class Signal:
     """Finite exp-polynomial sum; immutable."""
 
-    terms: tuple[Term, ...]
-    shape: tuple[int, ...]
+    coeffs: np.ndarray                 # (K,) + shape, complex
+    powers: np.ndarray                 # (K,), float
+    rates: np.ndarray                  # (K,), complex
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.coeffs.shape[1:]
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(Term(c, float(m), complex(a))
+                     for c, m, a in zip(self.coeffs, self.powers, self.rates))
 
     # -- construction ------------------------------------------------------
 
@@ -50,53 +60,38 @@ class Signal:
     def zero(shape) -> "Signal":
         if isinstance(shape, int):
             shape = (shape,)
-        return Signal((), tuple(shape))
+        return Signal(np.zeros((0,) + tuple(shape), dtype=complex),
+                      np.zeros(0), np.zeros(0, dtype=complex))
 
     @staticmethod
     def from_terms(raw, shape=None) -> "Signal":
         """raw: iterable of (coeff, power, rate)."""
-        terms = []
-        for c, m, a in raw:
-            c = np.asarray(c, dtype=complex)
-            terms.append(Term(c, float(m), complex(a)))
+        raw = list(raw)
+        coeffs = [np.asarray(c, dtype=complex) for c, _, _ in raw]
         if shape is None:
-            if not terms:
+            if not coeffs:
                 raise DimensionMismatch("shape required for empty signal")
-            shape = terms[0].coeff.shape
-        for t in terms:
-            if t.coeff.shape != tuple(shape):
-                raise DimensionMismatch("inconsistent coefficient shapes")
-        return Signal((), tuple(shape))._replace_terms(terms)
+            shape = coeffs[0].shape
+        if any(c.shape != tuple(shape) for c in coeffs):
+            raise DimensionMismatch("inconsistent coefficient shapes")
+        stack = np.array(coeffs, dtype=complex).reshape((len(raw), *shape))
+        return _combine(stack, [(k, 1, m, a) for k, (_, m, a) in enumerate(raw)])
 
     @staticmethod
     def constant(vec) -> "Signal":
         vec = np.asarray(vec, dtype=complex)
         return Signal.from_terms([(vec, 0, 0)])
 
-    def _replace_terms(self, terms) -> "Signal":
-        merged: dict[tuple, np.ndarray] = {}
-        meta: dict[tuple, tuple[float, complex]] = {}
-        for t in terms:
-            k = _key(t.power, t.rate)
-            if k in merged:
-                merged[k] = merged[k] + t.coeff
-            else:
-                merged[k] = t.coeff.astype(complex)
-                meta[k] = (t.power, t.rate)
-        kept = []
-        for k, c in merged.items():
-            if np.any(c != 0):
-                m, a = meta[k]
-                kept.append(Term(c, m, a))
-        kept.sort(key=lambda t: (t.power, t.rate.real, t.rate.imag))
-        return Signal(tuple(kept), self.shape)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "Signal") -> "Signal":
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return self._replace_terms(list(self.terms) + list(other.terms))
+        k = len(self.powers) + len(other.powers)
+        return _combine(np.concatenate([self.coeffs, other.coeffs]),
+                        np.column_stack([np.arange(k), np.ones(k),
+                                         np.r_[self.powers, other.powers],
+                                         np.r_[self.rates, other.rates]]))
 
     def __sub__(self, other: "Signal") -> "Signal":
         return self + (-other)
@@ -105,52 +100,44 @@ class Signal:
         return self.scale(-1)
 
     def scale(self, alpha) -> "Signal":
-        return Signal(tuple(Term(alpha * t.coeff, t.power, t.rate)
-                            for t in self.terms), self.shape)
+        return Signal(alpha * self.coeffs, self.powers, self.rates)
 
     def apply(self, matrix: np.ndarray) -> "Signal":
         """Left-multiply every coefficient by ``matrix``."""
         matrix = np.asarray(matrix, dtype=complex)
-        out = [Term(matrix @ t.coeff, t.power, t.rate) for t in self.terms]
-        shape = (matrix.shape[0],) + self.shape[1:]
-        return Signal((), shape)._replace_terms(out)
+        out = np.tensordot(self.coeffs, matrix, axes=(1, 1))  # (K, ..., m)
+        return _nonzero(np.moveaxis(out, -1, 1), self.powers, self.rates)
 
     def matvec(self, vec: np.ndarray) -> "Signal":
         """Matrix-valued signal times a constant vector."""
         if len(self.shape) != 2:
             raise DimensionMismatch("matvec needs a matrix-valued signal")
         vec = np.asarray(vec, dtype=complex)
-        out = [Term(t.coeff @ vec, t.power, t.rate) for t in self.terms]
-        return Signal((), (self.shape[0],))._replace_terms(out)
+        return _nonzero(self.coeffs @ vec, self.powers, self.rates)
 
     def modulate(self, rate: complex) -> "Signal":
         """Multiply pointwise by exp(rate * t)."""
-        return Signal(tuple(Term(t.coeff, t.power, t.rate + complex(rate))
-                            for t in self.terms), self.shape)
+        return Signal(self.coeffs, self.powers, self.rates + complex(rate))
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "Signal":
         sig = self
         for _ in range(order):
-            out = []
-            for t in sig.terms:
-                if t.rate != 0:
-                    out.append(Term(t.rate * t.coeff, t.power, t.rate))
-                if t.power != 0:
-                    out.append(Term(t.power * t.coeff, t.power - 1, t.rate))
-            sig = sig._replace_terms(out)
+            k = np.arange(len(sig.powers))
+            sig = _combine(sig.coeffs, np.column_stack([
+                np.r_[k, k], np.r_[sig.rates, sig.powers],
+                np.r_[sig.powers, sig.powers - 1], np.r_[sig.rates, sig.rates]]))
         return sig
 
     def antiderivative(self, order: int = 1) -> "Signal":
         """k-fold integral from 0, exact."""
         sig = self
         for _ in range(order):
-            out = []
-            for t in sig.terms:
-                for coef, m, a in _int_power_exp(t.power, t.rate):
-                    out.append(Term(coef * t.coeff, m, a))
-            sig = sig._replace_terms(out)
+            sig = _combine(sig.coeffs, [
+                (k, coef, m, a)
+                for k, (q, c) in enumerate(zip(sig.powers, sig.rates))
+                for coef, m, a in _int_power_exp(q, c)])
         return sig
 
     def convolve(self, other: "Signal") -> "Signal":
@@ -163,58 +150,45 @@ class Signal:
                 or self.shape[1] != other.shape[0]:
             raise DimensionMismatch(
                 f"convolve shapes {self.shape} and {other.shape}")
-        out = []
-        for kt in self.terms:
-            m = _as_int_power(kt.power)
-            for ft in other.terms:
-                k = _as_int_power(ft.power)
-                vec = kt.coeff @ ft.coeff
+        # source i * L + j is kernel term i times input term j
+        prods = np.einsum("kij,lj->kli", self.coeffs, other.coeffs,
+                          optimize=True).reshape(-1, self.shape[0])
+        rows = []
+        for i, (m, a) in enumerate(zip(self.powers, self.rates)):
+            m = _as_int_power(m)
+            for j, (k, b) in enumerate(zip(other.powers, other.rates)):
+                k = _as_int_power(k)
                 for r in range(m + 1):
                     pref = math.comb(m, r) * (-1.0) ** r
-                    for coef, j, c in _int_power_exp(r + k, ft.rate - kt.rate):
-                        # multiply by  pref * t**(m-r) * exp(rate_K * t)
-                        out.append(Term(pref * coef * vec, (m - r) + j,
-                                        kt.rate + c))
-        return Signal((), (self.shape[0],))._replace_terms(out)
+                    for coef, q, c in _int_power_exp(r + k, b - a):
+                        # times  pref * t**(m-r) * exp(a * t)
+                        rows.append((i * len(other.powers) + j, pref * coef,
+                                     (m - r) + q, a + c))
+        return _combine(prods, rows)
 
     def laplace(self, lam: complex) -> np.ndarray:
         """Exact transform  int_0^inf e^{-lam t} f(t) dt  (Re lam large)."""
-        acc = np.zeros(self.shape, dtype=complex)
-        for t in self.terms:
-            acc += t.coeff * _gamma(t.power + 1) / (lam - t.rate) ** (t.power + 1)
-        return acc
+        weights = (_gamma(self.powers + 1)
+                   / (lam - self.rates) ** (self.powers + 1))
+        return np.tensordot(weights, self.coeffs, axes=1)
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        acc = np.zeros(tt.shape + self.shape, dtype=complex)
-        extra = (np.newaxis,) * len(self.shape)
+        tt = np.asarray(t, dtype=float)[..., np.newaxis]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for term in self.terms:
-                if term.power == 0:
-                    pw = np.ones_like(tt)
-                else:
-                    pw = tt ** term.power
-                factor = (pw * np.exp(term.rate * tt))[(...,) + extra]
-                acc = acc + factor * term.coeff
-        return acc[0] if scalar else acc
+            basis = tt ** self.powers * np.exp(tt * self.rates)
+            return np.tensordot(basis, self.coeffs, axes=1)
 
     def value_at_zero(self):
         """f(0); terms with negative power make it infinite."""
-        acc = np.zeros(self.shape, dtype=complex)
-        for t in self.terms:
-            if t.power == 0:
-                acc += t.coeff
-            elif t.power < 0:
-                return None  # unbounded at 0
-        return acc
+        if self.has_negative_powers():
+            return None  # unbounded at 0
+        return self.coeffs[self.powers == 0].sum(axis=0)
 
     def vanishing_order(self) -> int:
         """Largest q with f(0) = ... = f^{(q-1)}(0) = 0."""
-        scale = max((np.max(np.abs(t.coeff)) for t in self.terms), default=0.0)
+        scale = self.magnitude()
         if scale == 0.0:
             return _MAX_VANISHING_ORDER
         sig = self
@@ -226,16 +200,16 @@ class Signal:
         return _MAX_VANISHING_ORDER
 
     def magnitude(self) -> float:
-        return max((np.max(np.abs(t.coeff)) for t in self.terms), default=0.0)
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
     def trim(self) -> "Signal":
         """Drop terms whose coefficients are negligible relative to the rest."""
-        cut = 1e-12 * self.magnitude()
-        kept = tuple(t for t in self.terms if np.max(np.abs(t.coeff)) > cut)
-        return Signal(kept, self.shape)
+        keep = np.max(np.abs(self.coeffs), axis=tuple(range(1, self.coeffs.ndim)),
+                      initial=0.0) > 1e-12 * self.magnitude()
+        return Signal(self.coeffs[keep], self.powers[keep], self.rates[keep])
 
     def has_negative_powers(self) -> bool:
-        return any(t.power < 0 for t in self.terms)
+        return bool(np.any(self.powers < 0))
 
     # -- serialization (vector signals) ------------------------------------
 
@@ -250,12 +224,44 @@ class Signal:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Signal":
-        terms = []
-        for t in d["terms"]:
-            coeff = np.array([complex(re, im) for re, im in t["coeff"]])
-            rate = complex(t["rate"][0], t["rate"][1])
-            terms.append((coeff, t["power"], rate))
-        return Signal.from_terms(terms)
+        return Signal.from_terms(
+            ([complex(re, im) for re, im in t["coeff"]], t["power"],
+             complex(t["rate"][0], t["rate"][1])) for t in d["terms"])
+
+
+def _combine(stack: np.ndarray, rows) -> Signal:
+    """The signal  sum_i weight_i * stack[source_i] * t**power_i e^{rate_i t}.
+
+    ``rows`` holds one (source, weight, power, rate) per row.  Rows whose
+    (power, rate) agree to _MERGE_DIGITS decimals form one term, which keeps
+    the first (power, rate) seen; terms come out sorted by that rounded key,
+    and a term whose coefficient sums to exactly zero is dropped.  The
+    coefficients are one product of a (terms x sources) weight matrix with
+    ``stack``, so only the input and output stacks are ever materialized.
+    """
+    rows = np.asarray(rows, dtype=complex).reshape(-1, 4)
+    rows = rows[rows[:, 1] != 0]          # a zero weight contributes nothing
+    src, weight = rows[:, 0].real.astype(np.intp), rows[:, 1]
+    powers, rates = rows[:, 2].real, rows[:, 3]
+    keys = np.round([rates.imag, rates.real, powers], _MERGE_DIGITS)
+    order = np.lexsort(keys)              # stable: each group opens with its first row
+    keys = keys[:, order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    W = np.zeros((int(opens.sum()), len(stack)), dtype=complex)
+    np.add.at(W, (np.cumsum(opens) - 1, src[order]), weight[order])
+    if not (len(W) == len(stack) and np.array_equal(W, np.eye(len(W)))):
+        stack = np.tensordot(W, stack, axes=1)   # W = I would only copy it
+    first = order[opens]
+    return _nonzero(stack, powers[first], rates[first])
+
+
+def _nonzero(coeffs, powers, rates) -> Signal:
+    """The terms whose coefficient is not exactly zero; no copy if that is all."""
+    keep = np.any(coeffs != 0, axis=tuple(range(1, coeffs.ndim)))
+    if keep.all():
+        return Signal(coeffs, powers, rates)
+    return Signal(coeffs[keep], powers[keep], rates[keep])
 
 
 def _as_int_power(m: float) -> int:
@@ -301,18 +307,12 @@ def _int_power_exp(q: float, c: complex) -> list[tuple[complex, float, complex]]
         return out
     qi = _as_int_power(q)
     # recursion I_q = (t**q e^{ct} - q I_{q-1}) / c,  I_0 = (e^{ct} - 1)/c
-    terms: dict[tuple, complex] = {}
-
-    def add(coef, m, a):
-        k = (m, a)
-        terms[k] = terms.get(k, 0j) + coef
-
+    out = []
     coef = 1.0 + 0j
     for j in range(qi, -1, -1):
         # coefficient of t**j e^{ct} from the unrolled recursion
-        add(coef / c, float(j), c)
+        out.append((coef / c, float(j), c))
         coef *= -j / c
     # integration constant chosen so the integral vanishes at t = 0
-    const = -sum(v for (m, a), v in terms.items() if m == 0.0 and a == c)
-    add(const, 0.0, 0j)
-    return [(v, m, a) for (m, a), v in terms.items() if v != 0]
+    out.append((-out[-1][0], 0.0, 0j))
+    return out

@@ -59,21 +59,24 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
 
     Closed-form trajectories are differentiated and integrated
     analytically; sampled ones use centered differences and the
-    trapezoid rule.
+    trapezoid rule.  A non-finite value after t = 0 gives (inf, inf); at
+    t = 0 the state may blow up, as under integrable fractional data.
     """
     ts = np.asarray(traj.times, dtype=float)
+    if not np.all(np.isfinite(traj.values[ts > 0])):
+        return np.inf, np.inf
     if f is None:
         f = Signal.zero(p.n_z)
     scale = p.scale * max(1.0, float(np.max(np.abs(traj.values), initial=0.0)))
     if traj.signal is not None:
-        x = traj.signal.trim()
+        x = traj.signal
         # the pointwise form needs x continuous and Ex differentiable at 0;
         # a fractional blow-up there makes the classical defect infinite
         dEx = x.apply(p.E).derivative().trim()
         if x.has_negative_powers() or dEx.has_negative_powers():
             classical = np.inf
         else:
-            res_c = (x.derivative().apply(p.E) - x.apply(p.A) - f).trim()
+            res_c = x.derivative().apply(p.E) - x.apply(p.A) - f
             classical = float(np.max(np.abs(res_c(ts)), initial=0.0))
         intx = x.antiderivative()
         intf = f.antiderivative()
@@ -176,16 +179,12 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
 def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
     """Coefficient-wise least-squares solve of E (V c) = f, residual-gated."""
     EV = ev.pencil.E @ ev.V
-    terms = []
-    scale = max(f.magnitude(), 1.0)
-    for t in f.terms:
-        c, *_ = np.linalg.lstsq(EV, t.coeff, rcond=None)
-        resid = np.linalg.norm(EV @ c - t.coeff)
-        if resid > LIFT_TOL * scale:
-            raise LiftFailed(
-                f"no preimage in the range space (residual {resid:.2e})")
-        terms.append((c, t.power, t.rate))
-    return Signal.from_terms(terms, shape=(ev.rank,))
+    C, *_ = np.linalg.lstsq(EV, f.coeffs.T, rcond=None)
+    resid = np.linalg.norm(EV @ C - f.coeffs.T, axis=0)
+    if np.any(resid > LIFT_TOL * max(f.magnitude(), 1.0)):
+        raise LiftFailed(
+            f"no preimage in the range space (residual {np.max(resid):.2e})")
+    return Signal.from_terms(zip(C.T, f.powers, f.rates), shape=(ev.rank,))
 
 
 def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
@@ -195,8 +194,8 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
     ev = evaluator or build_evaluator(p, mu=mu, backend="closed_form")
     require_closed_form(ev, "the convolution route")
     Pz = ev.decomposition.Z_ran.projector()
-    off = max(np.linalg.norm(t.coeff - Pz @ t.coeff) for t in f.terms) \
-        if f.terms else 0.0
+    off = float(np.max(np.linalg.norm(f.coeffs.T - Pz @ f.coeffs.T, axis=0),
+                       initial=0.0))
     if off > LIFT_TOL * max(f.magnitude(), 1.0):
         raise LiftFailed(
             f"inhomogeneity leaves the left range space by {off:.2e}")

@@ -7,6 +7,7 @@ import pytest
 
 from daesemi import Pencil, Signal, make_weierstrass
 from daesemi.cli import main
+from daesemi.errors import BadShape
 from daesemi.fileio import (parse_trajectory_csv, pencil_from_dict,
                             pencil_to_dict, read_pencil, read_signal,
                             trajectory_csv, write_pencil, write_signal)
@@ -93,6 +94,29 @@ def test_cli_solve_inhomogeneous(pencil_file, tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["solver"]["classification"] == "classical"
     assert rep["solver"]["csv"].startswith("t,x_0_re")
+
+
+@pytest.mark.parametrize("term", [
+    {"coeff": [[float("nan"), 0.0], [1.0, 0.0]], "power": 0, "rate": [0.0, 0.0]},
+    {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": float("nan"), "rate": [0.0, 0.0]},
+    {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": 1, "rate": [float("inf"), 0.0]},
+], ids=["coefficient", "power", "rate"])
+def test_nonfinite_signal_file_rejected(pencil_file, tmp_path, capsys, term):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"terms": [term]}))
+    with pytest.raises(BadShape):
+        read_signal(fpath)
+    assert main(["solve", pencil_file, "--x0", "0,0",
+                 "--signal", str(fpath)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--x0", "nan,0"], ["--x0", "1,inf"], ["--x0", "1,0", "--t1", "nan"],
+    ["--x0", "1,0", "--t0", "-inf"]])
+def test_cli_solve_rejects_nonfinite_arguments(pencil_file, capsys, args):
+    assert main(["solve", pencil_file, *args]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_exit_codes(tmp_path, capsys):

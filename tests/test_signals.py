@@ -135,3 +135,67 @@ def test_shape_errors():
     frac = Signal.from_terms([(np.eye(2), 0.5, -1.0)])
     with pytest.raises(SmoothnessInsufficient):
         frac.convolve(Signal.constant([1.0, 2.0]))
+
+
+def test_merge_keeps_first_key_seen():
+    a, b = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+    near = -0.5 + 2e-11          # equal to -0.5 in 9 digits
+    for first, second in ((-0.5, near), (near, -0.5)):
+        sig = Signal.from_terms([(a, 1, first), (b, 1.0 + 3e-11, second)])
+        (term,) = sig.terms
+        assert term.power == 1.0 and term.rate == first
+        assert np.array_equal(term.coeff, a + b)
+    apart = Signal.from_terms([(a, 1, -0.5), (b, 1, -0.5 + 2e-9)])
+    assert len(apart.terms) == 2
+
+
+def test_exact_cancellation_drops_the_term():
+    rng = np.random.default_rng(6)
+    sig = _rand_signal(rng)
+    assert len((sig - sig).terms) == 0
+    both = Signal.from_terms([([1.0, 0.0], 0, -1.0), ([0.0, 1.0], 1, 0.0)])
+    kept = both.apply(np.array([[1.0, 0.0]]))
+    assert [(t.power, t.rate) for t in kept.terms] == [(0.0, -1.0)]
+    assert kept.shape == (1,)
+
+
+def test_terms_come_out_sorted():
+    rng = np.random.default_rng(7)
+    raw = [(rng.normal(size=2), m, complex(re, im))
+           for m in (2, 0, 1) for re, im in ((0.5, 0.0), (-1.0, 1.0), (-1.0, -1.0))]
+    sig = Signal.from_terms(raw[::-1]) + Signal.from_terms(raw[:4])
+    keys = [(t.power, t.rate.real, t.rate.imag) for t in sig.terms]
+    assert keys == sorted(keys) and len(keys) == len(raw)
+    keys = [(t.power, t.rate.real, t.rate.imag)
+            for t in sig.antiderivative(2).derivative().terms]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0)])
+def test_empty_shape_evaluates_to_shaped_zeros(shape):
+    sig = Signal.zero(shape)
+    assert sig(0.5).shape == shape
+    assert sig(np.linspace(0, 1, 3)).shape == (3,) + shape
+    assert sig.value_at_zero().shape == shape
+
+
+def test_matrix_evaluation_matches_term_sum():
+    rng = np.random.default_rng(8)
+    sig = Signal.from_terms(
+        [(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), m,
+          complex(rng.uniform(-1, 0.5), rng.uniform(-2, 2)))
+         for m in (0, 0, 1, 2, 3, 1)]).antiderivative(2)
+    ts = np.linspace(0.0, 4.0, 40)
+    ref = sum(t.coeff * (ts ** t.power * np.exp(t.rate * ts))[:, None, None]
+              for t in sig.terms)
+    got = sig(ts)
+    assert got.shape == (40, 5, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_terms_view_the_stored_coefficients():
+    rng = np.random.default_rng(9)
+    sig = Signal.from_terms([(rng.normal(size=(3, 3)), m, -0.2 * m)
+                             for m in range(4)])
+    assert sig.coeffs.shape == (4, 3, 3)
+    assert sum(t.coeff.nbytes for t in sig.terms) == sig.coeffs.nbytes

@@ -220,6 +220,28 @@ def test_residual_certification_flags_wrong_trajectory(diag_pencil):
     assert cres > 1e-3 and mres > 1e-3
 
 
+def test_near_resonant_forcing_certifies_the_returned_signal():
+    # the forcing rate is 0.2 from the propagator's, so many terms of x are
+    # tiny next to the largest; the certificate must keep all of them
+    ts = np.linspace(0.0, 5.0, 11)
+    traj = solve_full(Pencil([[1.0]], [[-1.0]]), [0.0],
+                      Signal.from_terms([([1.0], 5, -0.8)]), ts)
+    assert traj.classification == "classical"
+    assert traj.classical_res < 1e-12 and traj.mild_res < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("coeff, rate", [(np.nan, -0.5), (1.0, np.inf)],
+                         ids=["nan-coefficient", "infinite-rate"])
+def test_nonfinite_trajectory_never_certifies(coeff, rate):
+    p, _ = make_weierstrass(2, 2, 2, seed=0)
+    f = Signal.from_terms([(np.r_[coeff, np.ones(p.n_z - 1)], 1, rate)])
+    traj = solve_full(p, np.zeros(p.n_x), f, TS)
+    assert not np.all(np.isfinite(traj.values))
+    assert traj.classical_res == traj.mild_res == np.inf
+    assert traj.classification == "none"
+
+
 def test_cross_check_raises_on_disagreement(diag_pencil):
     ts = np.linspace(0, 1, 5)
     a = solve_homogeneous(diag_pencil, [1.0, 1.0], ts)
