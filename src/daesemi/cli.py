@@ -114,6 +114,8 @@ def _cmd_solve(args) -> int:
                 "classical_residual": _finite_or_str(traj.classical_res),
                 "mild_residual": _finite_or_str(traj.mild_res),
                 "consistency": _jsonable(traj.consistency),
+                "contours": {kind: (traj.contours or ()).count(kind)
+                             for kind in ("hyperbola", "line")},
                 "csv": None if args.csv_out else csv_text},
         timings={"total_s": time.perf_counter() - t_start})
     print(out.dumps(), end="")

@@ -64,6 +64,7 @@ class SemigroupEvaluator:
     A_R: np.ndarray | None             # generator on X_ran coordinates
     prop: Signal | None                # exp(t A_R), matrix signal
     S_coord: Signal | None             # p-fold antiderivative of prop
+    spectrum: np.ndarray | None = None  # eigvals(A_R); None without A_R
     _left: "SemigroupEvaluator | None" = field(default=None, repr=False)
     _qz: QZForm | None = field(default=None, repr=False)
 
@@ -125,14 +126,15 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
         if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
+    spectrum = None
+    omega_growth = omega
     if A_R is not None and A_R.size:
-        omega_growth = max(float(np.max(np.linalg.eigvals(A_R).real)), omega)
-    else:
-        omega_growth = omega
+        spectrum = np.linalg.eigvals(A_R)
+        omega_growth = max(float(np.max(spectrum.real)), omega)
     return SemigroupEvaluator(pencil=p, mu=mu, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega_growth,
                               V=V, A_R=A_R, prop=prop,
-                              S_coord=S_coord)
+                              S_coord=S_coord, spectrum=spectrum)
 
 
 def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
@@ -171,8 +173,10 @@ def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:
     if ev.backend == "closed_form":
         return ev.V @ (ev.S_coord(t) @ c)
     sample, pp = transform_sampler(ev, ev.V @ c), ev.p
+    # lam^{-p} adds a pole at 0 to the spectrum of A_R
+    spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
     return bromwich_invert(lambda lam: sample(lam) / lam ** pp, t,
-                           contour_for(t, omega=ev.omega))
+                           contour_for(t, ev.omega, spectrum))
 
 
 def eval_S_l(ev: SemigroupEvaluator, t: float, z0: np.ndarray) -> np.ndarray:

@@ -48,6 +48,10 @@ class Trajectory:
     mild_res: float = np.inf
     classification: str = "none"
     consistency: dict = field(default_factory=dict)
+    # sampled (contour) trajectories: x'(t) from the same nodes as x(t),
+    # NaN at t = 0, and the contour kind per time (None at t = 0)
+    derivatives: np.ndarray | None = None
+    contours: tuple | None = None
 
     @property
     def residual_max(self) -> float:
@@ -58,9 +62,11 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
     """(classical, mild) max residuals on the trajectory's grid.
 
     Closed-form trajectories are differentiated and integrated
-    analytically; sampled ones use centered differences and the
-    trapezoid rule.  A non-finite value after t = 0 gives (inf, inf); at
-    t = 0 the state may blow up, as under integrable fractional data.
+    analytically.  Sampled ones take the classical residual
+    E x'(t) - A x(t) - f(t) pointwise at every t > 0 from their sampled
+    derivatives (inf without them) and the mild one by the trapezoid
+    rule.  A non-finite value after t = 0 gives (inf, inf); at t = 0 the
+    state may blow up, as under integrable fractional data.
     """
     ts = np.asarray(traj.times, dtype=float)
     if not np.all(np.isfinite(traj.values[ts > 0])):
@@ -88,8 +94,12 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
     Ex = xs @ p.E.T
     Ax = xs @ p.A.T
     fs = f(ts)
-    dEx = np.gradient(Ex, ts, axis=0, edge_order=2)
-    classical = float(np.max(np.abs(dEx - Ax - fs)))
+    if traj.derivatives is None:
+        classical = np.inf
+    else:
+        pos = ts > 0
+        res_c = traj.derivatives[pos] @ p.E.T - Ax[pos] - fs[pos]
+        classical = float(np.max(np.abs(res_c), initial=0.0))
     rhs = Ax + fs
     cum = np.concatenate([np.zeros((1, p.n_z)),
                           np.cumsum((rhs[1:] + rhs[:-1]) / 2.0
@@ -108,10 +118,8 @@ def _classify(p: Pencil, traj: Trajectory, f: Signal | None,
         traj.consistency.setdefault("initial_value_error", err)
     tol_c, tol_m = CLASSICAL_TOL, MILD_TOL
     if traj.signal is None and len(traj.times) > 1:
-        # sampled trajectories: certify only up to quadrature order
-        h = float(np.max(np.diff(traj.times)))
-        tol_c = max(tol_c, 4.0 * h ** 2)
-        tol_m = max(tol_m, h ** 2)
+        # sampled trajectories: the mild form only up to quadrature order
+        tol_m = max(tol_m, float(np.max(np.diff(traj.times))) ** 2)
     if traj.classical_res <= tol_c:
         traj.classification = "classical"
     elif traj.mild_res <= tol_m:
@@ -147,10 +155,15 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
 
     ``method="decomp"`` propagates the projected x0 with the evaluator's
     closed-form exp(t A_R).  ``method="contour"`` inverts the Laplace
-    transform (lam E - A)^{-1} E x0 on a Bromwich line at each output time;
-    on square pencils the pencil is factored once into complex QZ form
-    (held by the evaluator) and each of the 109 nodes per time is one
-    triangular solve with lam EE - AA, gated by its condition estimate.
+    transform F(lam) = (lam E - A)^{-1} E x0 at each output time, on the
+    hyperbola when the evaluator's spectrum of A_R fits inside it at that
+    time and on the Euler-accelerated line otherwise (``contour_for``).
+    Each node is solved once and sampled as [F(z), z F(z) - x0], so one
+    inversion gives x(t) and x'(t), and the classical residual is taken
+    pointwise.  On square pencils the pencil is factored once into complex
+    QZ form (held by the evaluator) and each of the 41 (hyperbola) or 109
+    (line) nodes per time is one triangular solve with lam EE - AA, gated
+    by its condition estimate.
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -163,15 +176,25 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
         sig = ev.prop.matvec(c).apply(ev.V) if ev.rank else Signal.zero(p.n_x)
         return _from_signal(p, sig, ts, None, x0=ev.V @ c, consistency=cons)
     x0p = ev.V @ c
-    sample = transform_sampler(ev, x0p)
+    solve = transform_sampler(ev, x0p)
+
+    def sample(lam):
+        F = solve(lam)
+        return np.concatenate([F, lam * F - x0p])  # transforms of x and x'
+
     ts = np.asarray(ts, dtype=float)
-    vals = np.zeros((len(ts), p.n_x), dtype=complex)
+    vals = np.zeros((len(ts), 2 * p.n_x), dtype=complex)
+    vals[ts == 0] = np.concatenate([x0p, np.full(p.n_x, np.nan)])
+    kinds = []
     for i, t in enumerate(ts):
         if t == 0:
-            vals[i] = x0p
+            kinds.append(None)
             continue
-        vals[i] = bromwich_invert(sample, t, contour_for(t, omega=ev.omega))
-    traj = Trajectory(times=ts, values=vals, consistency=cons)
+        cfg = contour_for(t, ev.omega, ev.spectrum)
+        vals[i] = bromwich_invert(sample, t, cfg)
+        kinds.append(cfg.kind)
+    traj = Trajectory(times=ts, values=vals[:, :p.n_x], consistency=cons,
+                      derivatives=vals[:, p.n_x:], contours=tuple(kinds))
     _classify(p, traj, None, None)
     return traj
 

@@ -81,6 +81,7 @@ def test_cli_solve_diag(pencil_file, tmp_path, capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["solver"]["classification"] == "classical"
+    assert rep["solver"]["contours"] == {"hyperbola": 0, "line": 0}
     ts, vals = parse_trajectory_csv(open(csv_path).read())
     assert np.abs(vals[:, 0] - np.exp(-ts)).max() < 1e-10
 
@@ -155,3 +156,5 @@ def test_cli_solve_auto_on_rectangular_pencil(tmp_path, capsys):
     assert main(["solve", path, "--x0", x0, "--steps", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["solver"]["method"] == "contour"
+    # t = 0 is the projected start and needs no contour
+    assert rep["solver"]["contours"] == {"hyperbola": 2, "line": 0}

@@ -5,7 +5,8 @@ import pytest
 
 from daesemi import (Signal, bromwich_invert, contour_for, forward_laplace)
 from daesemi.errors import NonFiniteSample, TailTooLarge
-from daesemi.laplace import ContourConfig
+from daesemi.laplace import (DEFAULT_ACCEL, HYP_ALPHA, HYP_STRIP,
+                             ContourConfig)
 
 
 def test_invert_simple_pole():
@@ -47,6 +48,38 @@ def test_invert_vector_valued():
     assert np.allclose(got, [np.exp(-t), t], atol=1e-7)
 
 
+def test_contour_without_spectrum_is_the_line():
+    for t in (0.1, 1.0, 4.0):
+        for cfg in (contour_for(t), contour_for(t, 2.0)):
+            assert cfg.kind == "line"
+            assert cfg.sigma > DEFAULT_ACCEL / (2.0 * t) - 1e-12
+
+
+def test_hyperbola_inverts_known_transforms():
+    # e^{-t}, cos t, t^3 e^{-2t}/6 and t^2/2: poles at -1, +-i, -2 and 0
+    F = lambda lam: np.array([1.0 / (lam + 1.0), lam / (lam ** 2 + 1.0),
+                              (lam + 2.0) ** -4.0, lam ** -3.0])
+    for t in (0.25, 1.0, 1.5):
+        cfg = contour_for(t, 0.0, [-1.0, 1j, -1j, -2.0, 0.0])
+        assert cfg.kind == "hyperbola"
+        exact = [np.exp(-t), np.cos(t), t ** 3 * np.exp(-2.0 * t) / 6.0,
+                 t ** 2 / 2.0]
+        assert np.max(np.abs(bromwich_invert(F, t, cfg) - exact)) < 1e-11
+        nodes = []
+        bromwich_invert(lambda lam: nodes.append(lam) or 0.0, t, cfg)
+        assert len(nodes) == 41
+
+
+def test_spectrum_outside_the_hyperbola_takes_the_line():
+    # +-20i lie outside the hyperbola at t = 1.5 but inside at t = 0.01;
+    # a point right of the abscissa never fits
+    assert HYP_ALPHA + HYP_STRIP < np.pi / 2
+    assert contour_for(1.5, 0.0, [20j, -20j]).kind == "line"
+    assert contour_for(0.01, 0.0, [20j, -20j]).kind == "hyperbola"
+    assert contour_for(1.0, 0.0, [3.0]).kind == "line"
+    assert contour_for(1.0, 3.0, [3.0]).kind == "hyperbola"
+
+
 def test_invert_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         bromwich_invert(lambda lam: 1.0 / lam, 0.0, ContourConfig(sigma=1.0))
@@ -57,6 +90,10 @@ def test_invert_rejects_nonfinite_samples():
     cfg = contour_for(t)
     with pytest.raises(NonFiniteSample):
         bromwich_invert(lambda lam: np.array([np.inf]), t, cfg)
+    cfg = contour_for(t, 0.0, [-1.0])
+    assert cfg.kind == "hyperbola"
+    with pytest.raises(NonFiniteSample):
+        bromwich_invert(lambda lam: np.array([1.0, np.nan]), t, cfg)
 
 
 def test_forward_matches_exact_transform():

@@ -134,26 +134,30 @@ def test_rectangular_pencil_resolvent():
         resolvent(Pencil(E, A), 2.0)
 
 
-def _contour_nodes(t, omega):
+def _contour_nodes(t, omega, spectrum=None):
     lams = []
     bromwich_invert(lambda lam: lams.append(lam) or 0.0, t,
-                    contour_for(t, omega))
+                    contour_for(t, omega, spectrum))
     return lams
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_qz_shifted_solve_matches_resolvent(k):
-    """Backward stable at every contour node, and agrees with the explicit
-    resolvent to 1e-10 relative; at index 3 and 4 the far nodes make
-    lam E - A so ill-conditioned that any two stable solves differ by up to
-    cond * eps, so there the agreement is asked to within 1e-14 * cond."""
+    """Backward stable at every node of the line and of the hyperbola, and
+    agrees with the explicit resolvent to 1e-10 relative; at index 3 and 4
+    the far nodes make lam E - A so ill-conditioned that any two stable
+    solves differ by up to cond * eps, so there the agreement is asked to
+    within 1e-14 * cond."""
     p, _ = make_weierstrass(6, 6, k, seed=70 + k)
     ev = build_evaluator(p, backend="contour")
     rng = np.random.default_rng(k)
     b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
     solve = QZForm.of(p).shifted_solver(b)
+    assert all(contour_for(t, ev.omega, ev.spectrum).kind == "hyperbola"
+               for t in (0.25, 1.0, 1.5))
     for t in (0.25, 1.0, 1.5):
-        for lam in _contour_nodes(t, ev.omega):
+        for lam in (_contour_nodes(t, ev.omega)
+                    + _contour_nodes(t, ev.omega, ev.spectrum)):
             M = lam * p.E - p.A
             x = solve(lam)
             assert np.linalg.norm(M @ x - b) <= 1e-14 * (

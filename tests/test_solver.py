@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daesemi import (Pencil, Signal, bromwich_invert, build_evaluator,
-                     contour_for, cross_check, make_weierstrass,
+                     contour_for, cross_check, make_transport, make_weierstrass,
                      restrict_to_kernel, solve_full, solve_homogeneous,
                      solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
                      verify_properties)
@@ -50,9 +51,9 @@ CONTOUR_SAMPLING_BOUND = {1: 1e-10, 2: 4e-9, 3: 1e-6}
 def test_homogeneous_contour_accuracy_against_oracle(k):
     """Contour error against the oracle, split into its two sources.
 
-    Inverting the oracle's exact transform on the same nodes gives the
-    quadrature's own error; what the contour trajectory adds on top of it
-    comes from sampling (lam E - A)^{-1} E x0.
+    Inverting the oracle's exact transform on the contour the solver used
+    gives the quadrature's own error; what the contour trajectory adds on
+    top of it comes from sampling (lam E - A)^{-1} E x0.
     """
     ts = np.array([0.5, 1.0, 1.5])
     for n in (16, 32):
@@ -64,15 +65,73 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
             traj = solve_homogeneous(p, x0, ts, method="contour", evaluator=ev)
             exact = orc.solve(x0)
             ref = exact(ts)
-            quad = np.array([bromwich_invert(exact.laplace, t,
-                                             contour_for(t, ev.omega))
-                             for t in ts])
+            cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts]
+            assert traj.contours == tuple(cfg.kind for cfg in cfgs)
+            quad = np.array([bromwich_invert(exact.laplace, t, cfg)
+                             for t, cfg in zip(ts, cfgs)])
             scale = np.max(np.abs(ref))
             sampling = np.max(np.abs(traj.values - quad)) / scale
             floor = np.max(np.abs(quad - ref)) / scale
             oracle = np.max(np.abs(traj.values - ref)) / scale
             assert sampling <= CONTOUR_SAMPLING_BOUND[k], (n, seed, sampling)
             assert oracle <= floor + CONTOUR_SAMPLING_BOUND[k], (n, seed, oracle)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_homogeneous_contour_on_hyperbola_matches_oracle(k):
+    ts = np.array([0.0, 0.5, 1.0, 1.5])
+    for n in (16, 32):
+        for seed in range(4):
+            p, orc = make_weierstrass(n // 2, n // 2, k, seed=seed)
+            rng = np.random.default_rng(seed)
+            x0 = orc.consistent_x0(rng.normal(size=n) + 1j * rng.normal(size=n))
+            traj = solve_homogeneous(p, x0, ts, method="contour")
+            ref = orc.solve(x0)(ts)
+            err = np.max(np.abs(traj.values - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-10, (n, seed, err)
+            assert traj.contours == (None, "hyperbola", "hyperbola",
+                                     "hyperbola")
+            assert traj.classification == "classical"
+
+
+def test_contour_falls_back_to_the_line_outside_the_hyperbola():
+    # eigenvalues +-20i: inside the hyperbola at t = 0.01, outside at 1.5
+    E = np.diag([1.0, 1.0, 0.0])
+    A = np.array([[0.0, 20.0, 0.0], [-20.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    ts = np.array([0.0, 0.01, 1.5])
+    traj = solve_homogeneous(Pencil(E, A), [1.0, 2.0, 0.0], ts,
+                             method="contour")
+    assert traj.contours == (None, "hyperbola", "line")
+    c, s = np.cos(20.0 * ts), np.sin(20.0 * ts)
+    exact = np.column_stack([c + 2.0 * s, 2.0 * c - s, np.zeros_like(ts)])
+    assert np.max(np.abs(traj.values - exact)) < 1e-8
+    assert traj.classification == "classical"
+    assert solve_homogeneous(Pencil(E, A), [1.0, 2.0, 0.0], ts).contours is None
+
+
+def _transport_reference(p, n, x0, ts):
+    # E = I and A12 = 0 on the first n rows; the rest are algebraic
+    x1 = np.array([scipy.linalg.expm(p.A[:n, :n].real * t) @ x0[:n]
+                   for t in ts])
+    x2 = np.linalg.lstsq(p.A[n:, n:], -p.A[n:, :n] @ x1.T, rcond=None)[0]
+    return np.hstack([x1, x2.T])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stiff_transport_contour_is_certified_pointwise(seed):
+    # x1(0) = 0 and x2 = x1(1): consistent start data on a stiff upwind
+    # line, certified classical whatever the output grid
+    p = make_transport(16, 16)
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=16)
+    x1[0] = 0.0
+    x0 = np.concatenate([x1, np.full(16, x1[-1])])
+    ts = np.linspace(0.0, 1.0, 4 if seed % 2 == 0 else 6)
+    traj = solve_homogeneous(p, x0, ts, method="contour", strict=False)
+    ref = _transport_reference(p, 16, x0, ts)
+    assert np.max(np.abs(traj.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert traj.classification == "classical"
+    assert traj.classical_res <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["decomp", "contour"])
