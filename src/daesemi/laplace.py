@@ -5,11 +5,13 @@ rules that ``contour_for`` picks per output time t:
 
 * the hyperbola z(u) = sigma + mu (1 + sin(iu - alpha)), sampled by the
   trapezoid rule at u_k = k h, k = -N..N (Weideman & Trefethen, Math. Comp.
-  76, 2007).  It is taken when every singularity of the transform lies
-  strictly left of the narrower hyperbola of angle alpha + d, the image of
-  the edge of the strip of analyticity of half-width d, so the trapezoid
-  error e^{-2 pi d / h} is below rounding.  With W&T's parameters its 41
-  nodes give 1e-12 to 1e-10 relative error at resolvent index 1 to 4;
+  76, 2007), with mu = HYP_MU_T/t and sigma = max(omega, 0) +
+  min(HYP_SHIFT, HYP_SHIFT_T/t).  It is taken when every singularity of
+  the transform lies strictly left of the narrower hyperbola of angle
+  alpha + d, the image of the edge of the strip of analyticity of
+  half-width d, so the trapezoid error e^{-2 pi d / h} is below rounding.
+  With W&T's parameters its 41 nodes give 1e-12 to 1e-10 relative error
+  at resolvent index 1 to 4;
 * the vertical line Re lam = omega + accel/(2t) with node spacing pi/t,
   which turns the contour sum into an alternating series accelerated by
   Euler (binomial) averaging of its partial sums: 2 (N_NODES + EULER_DEPTH)
@@ -39,6 +41,12 @@ from .errors import NonFiniteSample, TailTooLarge
 DEFAULT_ACCEL = 20.0
 EULER_DEPTH = 14
 N_NODES = 40  # conjugate node pairs summed before Euler averaging
+# Euler averaging of the partial sums S_N, ..., S_{N+m} is linear in the
+# samples: node k keeps the share of the binomial weights C(m, j)/2^m of
+# those partial sums that contain it, 1 for |k| <= N.
+_LINE_SHARE = np.array([sum(math.comb(EULER_DEPTH, j)
+                            for j in range(i, EULER_DEPTH + 1))
+                        for i in range(EULER_DEPTH + 1)]) / 2.0 ** EULER_DEPTH
 # Hyperbola: Weideman & Trefethen's optimal parameters for a spectrum on the
 # negative real axis, with 2 HYP_N + 1 nodes.  N = 16 left 3e-9 on stiff
 # transport pencils; at N = 32 the error grows again to 1e-10, as e^{mu t}
@@ -47,6 +55,15 @@ HYP_N = 20
 HYP_ALPHA = 1.1721
 HYP_H = 1.0818 / HYP_N
 HYP_MU_T = 4.4921 * HYP_N  # mu = HYP_MU_T / t
+# Shift sigma = max(omega, 0) + min(HYP_SHIFT, HYP_SHIFT_T / t).  A larger
+# shift lets more of a spectrum near the imaginary axis fit, but the
+# weights carry e^{z t}, up to e^{sigma t + HYP_MU_T (1 - sin alpha)}, and
+# amplify round-off by that much over the growth e^{max(omega, 0) t} of the
+# result.  Capping the shift's part of sigma t at HYP_SHIFT_T bounds the
+# amplification by e^{8.6} at every t, as the line bounds it by e^{10}; an
+# uncapped shift of 1 left a 6e-2 error at t = 30 on a stable spectrum.
+HYP_SHIFT = 1.0
+HYP_SHIFT_T = 1.5
 # Half-width d of the strip of analyticity on the spectrum's side.  W&T's
 # derivation takes it up to pi/2 - alpha - delta for a spectrum in a sector
 # of half-angle delta about the negative real axis; the trapezoid error from
@@ -56,84 +73,70 @@ HYP_STRIP = 0.3
 TAIL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourConfig:
-    """Bromwich contour for inversion at one time.
+    """Quadrature rule of the Bromwich integral at one time, built by
+    ``contour_for``.
 
-    sigma: abscissa, right of all singularities of F: the line Re lam =
-    sigma, or the hyperbola's shift.  kind: "line" or "hyperbola".
+    kind: "hyperbola" or "line".  sigma: the line's abscissa or the
+    hyperbola's shift.  nodes, weights: the points where the transform is
+    sampled and the factors, e^{z t} included, that sum the samples.
     """
 
+    kind: str
     sigma: float
-    kind: str = "line"
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 def contour_for(t: float, omega: float = 0.0,
                 spectrum=None) -> ContourConfig:
-    """Contour for inversion at time t given growth abscissa omega.
+    """Contour for inversion at time t > 0 given growth abscissa omega.
 
     The hyperbola when ``spectrum``, every singularity of the transform,
     lies strictly left of its narrower companion of angle alpha + d;
     otherwise (including without a spectrum) the line.
     """
+    if t <= 0:
+        raise ValueError("inversion time must be positive")
     if spectrum is not None:
-        sigma = max(omega, 0.0) + 1.0
+        sigma = max(omega, 0.0) + min(HYP_SHIFT, HYP_SHIFT_T / t)
         mu = HYP_MU_T / t
         s = np.asarray(spectrum, dtype=complex)
         X = s.real - sigma - mu
         edge = -mu * math.sin(HYP_ALPHA + HYP_STRIP) * np.sqrt(
             1.0 + (s.imag / (mu * math.cos(HYP_ALPHA + HYP_STRIP))) ** 2)
         if np.all(X < edge):
-            return ContourConfig(sigma=sigma, kind="hyperbola")
-    return ContourConfig(sigma=max(omega, 0.0) + DEFAULT_ACCEL / (2.0 * t))
+            # v = i u_k - alpha
+            v = 1j * HYP_H * np.arange(-HYP_N, HYP_N + 1) - HYP_ALPHA
+            z = sigma + mu * (1.0 + np.sin(v))
+            # h/(2 pi i) z'(u_k) e^{z_k t}, z'(u) = i mu cos(iu - alpha)
+            w = (HYP_H * mu / (2.0 * math.pi)) * np.cos(v) * np.exp(z * t)
+            return ContourConfig("hyperbola", sigma, z, w)
+    sigma = max(omega, 0.0) + DEFAULT_ACCEL / (2.0 * t)
+    h = math.pi / t
+    k = np.arange(-(N_NODES + EULER_DEPTH), N_NODES + EULER_DEPTH + 1)
+    share = _LINE_SHARE[np.maximum(np.abs(k) - N_NODES, 0)]
+    # e^{lam t} = (-1)^k e^{sigma t} at the nodes sigma + i k pi/t
+    w = (-1.0) ** k * share * (h * math.exp(sigma * t) / (2.0 * math.pi))
+    return ContourConfig("line", sigma, sigma + 1j * h * k, w)
 
 
-def _line_rule(t: float, sigma: float):
-    """Nodes sigma + i k pi/t, |k| <= N_NODES + EULER_DEPTH, and weights.
-
-    Euler averaging of the partial sums S_N, ..., S_{N+m} is linear in the
-    samples: node k keeps the share of the binomial weights C(m, j)/2^m of
-    those partial sums that contain it, 1 for |k| <= N.
-    """
-    h, m = math.pi / t, EULER_DEPTH
-    k = np.arange(-(N_NODES + m), N_NODES + m + 1)
-    tail = np.array([sum(math.comb(m, j) for j in range(i, m + 1))
-                     for i in range(m + 1)]) / 2.0 ** m
-    share = tail[np.maximum(np.abs(k) - N_NODES, 0)]
-    # e^{lam t} = (-1)^k e^{sigma t} at the nodes
-    weights = (-1.0) ** k * share * (h * math.exp(sigma * t) / (2.0 * math.pi))
-    return sigma + 1j * h * k, weights
-
-
-def _hyperbola_rule(t: float, sigma: float):
-    """Nodes z(u_k) and weights h/(2 pi i) z'(u_k) e^{z_k t}."""
-    mu = HYP_MU_T / t
-    v = 1j * HYP_H * np.arange(-HYP_N, HYP_N + 1) - HYP_ALPHA  # i u_k - alpha
-    z = sigma + mu * (1.0 + np.sin(v))
-    return z, (HYP_H * mu / (2.0 * math.pi)) * np.cos(v) * np.exp(z * t)
-
-
-_RULES = {"line": _line_rule, "hyperbola": _hyperbola_rule}
-
-
-def bromwich_invert(F, t: float, cfg: ContourConfig) -> np.ndarray:
+def bromwich_invert(F, cfg: ContourConfig) -> np.ndarray:
     """(1/2 pi i) * integral of e^{lam t} F(lam) along the contour cfg.
 
-    F maps a complex point to a complex vector (or scalar).  Requires
-    t > 0.  Each node is sampled once, and the samples are stacked and
-    summed with the rule's weights.
+    F maps a complex point to a complex vector (or scalar).  Each node is
+    sampled once, and the samples are stacked and summed with the rule's
+    weights; a non-finite sample raises NonFiniteSample.
     """
-    if t <= 0:
-        raise ValueError("inversion time must be positive")
-    nodes, weights = _RULES[cfg.kind](t, cfg.sigma)
-
     def sample(lam):
         val = np.asarray(F(lam), dtype=complex)
         if not np.all(np.isfinite(val)):
             raise NonFiniteSample(f"transform not finite at {lam}")
         return val
 
-    return np.tensordot(weights, np.array([sample(z) for z in nodes]), 1)
+    return np.tensordot(cfg.weights, np.array([sample(z) for z in cfg.nodes]),
+                        1)
 
 
 def forward_laplace(g, lam: complex, T: float = 40.0, n: int = 64,

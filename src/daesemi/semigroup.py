@@ -175,7 +175,7 @@ def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:
     sample, pp = transform_sampler(ev, ev.V @ c), ev.p
     # lam^{-p} adds a pole at 0 to the spectrum of A_R
     spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
-    return bromwich_invert(lambda lam: sample(lam) / lam ** pp, t,
+    return bromwich_invert(lambda lam: sample(lam) / lam ** pp,
                            contour_for(t, ev.omega, spectrum))
 
 

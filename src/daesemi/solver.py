@@ -67,6 +67,12 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
     derivatives (inf without them) and the mild one by the trapezoid
     rule.  A non-finite value after t = 0 gives (inf, inf); at t = 0 the
     state may blow up, as under integrable fractional data.
+
+    Contour trajectories sum x(t) and x'(t) from the same samples with the
+    same weights, so their classical residual is the weighted sum of the
+    per-node solve residuals (z E - A) F(z) - E x0 and rounding: it checks
+    the solves, not the quadrature.  An aliasing or truncation error, or a
+    contour placed on a wrong spectrum, leaves it small.
     """
     ts = np.asarray(traj.times, dtype=float)
     if not np.all(np.isfinite(traj.values[ts > 0])):
@@ -160,7 +166,8 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     time and on the Euler-accelerated line otherwise (``contour_for``).
     Each node is solved once and sampled as [F(z), z F(z) - x0], so one
     inversion gives x(t) and x'(t), and the classical residual is taken
-    pointwise.  On square pencils the pencil is factored once into complex
+    pointwise; it bounds the per-node solves but not the quadrature error
+    (see ``residual``).  On square pencils the pencil is factored once into complex
     QZ form (held by the evaluator) and each of the 41 (hyperbola) or 109
     (line) nodes per time is one triangular solve with lam EE - AA, gated
     by its condition estimate.
@@ -191,7 +198,7 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
             kinds.append(None)
             continue
         cfg = contour_for(t, ev.omega, ev.spectrum)
-        vals[i] = bromwich_invert(sample, t, cfg)
+        vals[i] = bromwich_invert(sample, cfg)
         kinds.append(cfg.kind)
     traj = Trajectory(times=ts, values=vals[:, :p.n_x], consistency=cons,
                       derivatives=vals[:, p.n_x:], contours=tuple(kinds))

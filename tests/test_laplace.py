@@ -5,22 +5,20 @@ import pytest
 
 from daesemi import (Signal, bromwich_invert, contour_for, forward_laplace)
 from daesemi.errors import NonFiniteSample, TailTooLarge
-from daesemi.laplace import (DEFAULT_ACCEL, HYP_ALPHA, HYP_STRIP,
-                             ContourConfig)
+from daesemi.laplace import DEFAULT_ACCEL, HYP_ALPHA, HYP_STRIP
 
 
 def test_invert_simple_pole():
     # L[e^{-t}] = 1/(lam + 1)
     for t in (0.2, 1.0, 3.0):
-        got = bromwich_invert(lambda lam: 1.0 / (lam + 1.0), t,
-                              contour_for(t))
+        got = bromwich_invert(lambda lam: 1.0 / (lam + 1.0), contour_for(t))
         assert abs(got - np.exp(-t)) < 1e-7
 
 
 def test_invert_oscillatory():
     # L[cos(5t)] = lam / (lam^2 + 25)
     for t in (0.5, 2.0):
-        got = bromwich_invert(lambda lam: lam / (lam ** 2 + 25.0), t,
+        got = bromwich_invert(lambda lam: lam / (lam ** 2 + 25.0),
                               contour_for(t))
         assert abs(got - np.cos(5.0 * t)) < 1e-8
 
@@ -28,14 +26,14 @@ def test_invert_oscillatory():
 def test_invert_polynomial_growth():
     # L[t^3/6] = 1/lam^4
     t = 1.5
-    got = bromwich_invert(lambda lam: lam ** -4.0, t, contour_for(t))
+    got = bromwich_invert(lambda lam: lam ** -4.0, contour_for(t))
     assert abs(got - t ** 3 / 6.0) < 1e-7
 
 
 def test_invert_growing_exponential():
     # growth abscissa 2 requires omega in the contour choice
     t = 1.0
-    got = bromwich_invert(lambda lam: 1.0 / (lam - 2.0), t,
+    got = bromwich_invert(lambda lam: 1.0 / (lam - 2.0),
                           contour_for(t, omega=2.0))
     assert abs(got - np.exp(2.0 * t)) < 1e-7
 
@@ -44,7 +42,7 @@ def test_invert_vector_valued():
     t = 0.8
     got = bromwich_invert(
         lambda lam: np.array([1.0 / (lam + 1.0), 1.0 / lam ** 2]),
-        t, contour_for(t))
+        contour_for(t))
     assert np.allclose(got, [np.exp(-t), t], atol=1e-7)
 
 
@@ -64,10 +62,21 @@ def test_hyperbola_inverts_known_transforms():
         assert cfg.kind == "hyperbola"
         exact = [np.exp(-t), np.cos(t), t ** 3 * np.exp(-2.0 * t) / 6.0,
                  t ** 2 / 2.0]
-        assert np.max(np.abs(bromwich_invert(F, t, cfg) - exact)) < 1e-11
+        assert np.max(np.abs(bromwich_invert(F, cfg) - exact)) < 1e-11
         nodes = []
-        bromwich_invert(lambda lam: nodes.append(lam) or 0.0, t, cfg)
+        bromwich_invert(lambda lam: nodes.append(lam) or 0.0, cfg)
         assert len(nodes) == 41
+
+
+def test_hyperbola_round_off_does_not_grow_with_t():
+    # e^{-t} and 1, poles at -1 and 0: the shift's part of sigma t is
+    # capped, so the weights' e^{z t} stay bounded at every t
+    F = lambda lam: np.array([1.0 / (lam + 1.0), 1.0 / lam])
+    for t in (10.0, 30.0, 100.0):
+        cfg = contour_for(t, 0.0, [-1.0, 0.0])
+        assert cfg.kind == "hyperbola"
+        got = bromwich_invert(F, cfg)
+        assert np.max(np.abs(got - [np.exp(-t), 1.0])) < 1e-11
 
 
 def test_spectrum_outside_the_hyperbola_takes_the_line():
@@ -81,19 +90,20 @@ def test_spectrum_outside_the_hyperbola_takes_the_line():
 
 
 def test_invert_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        bromwich_invert(lambda lam: 1.0 / lam, 0.0, ContourConfig(sigma=1.0))
+    for spectrum in (None, [-1.0]):
+        with pytest.raises(ValueError):
+            contour_for(0.0, 0.0, spectrum)
 
 
 def test_invert_rejects_nonfinite_samples():
     t = 1.0
     cfg = contour_for(t)
     with pytest.raises(NonFiniteSample):
-        bromwich_invert(lambda lam: np.array([np.inf]), t, cfg)
+        bromwich_invert(lambda lam: np.array([np.inf]), cfg)
     cfg = contour_for(t, 0.0, [-1.0])
     assert cfg.kind == "hyperbola"
     with pytest.raises(NonFiniteSample):
-        bromwich_invert(lambda lam: np.array([1.0, np.nan]), t, cfg)
+        bromwich_invert(lambda lam: np.array([1.0, np.nan]), cfg)
 
 
 def test_forward_matches_exact_transform():
@@ -106,7 +116,7 @@ def test_forward_matches_exact_transform():
 def test_forward_round_trip_with_inversion():
     sig = Signal.from_terms([([1.0], 0, -1.0), ([0.5], 1, -0.5)])
     t = 1.2
-    got = bromwich_invert(lambda lam: sig.laplace(lam), t, contour_for(t))
+    got = bromwich_invert(lambda lam: sig.laplace(lam), contour_for(t))
     assert np.allclose(got, sig(t), atol=1e-8)
 
 

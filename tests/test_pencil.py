@@ -136,7 +136,7 @@ def test_rectangular_pencil_resolvent():
 
 def _contour_nodes(t, omega, spectrum=None):
     lams = []
-    bromwich_invert(lambda lam: lams.append(lam) or 0.0, t,
+    bromwich_invert(lambda lam: lams.append(lam) or 0.0,
                     contour_for(t, omega, spectrum))
     return lams
 

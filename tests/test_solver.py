@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from daesemi import (Pencil, Signal, bromwich_invert, build_evaluator,
-                     contour_for, cross_check, make_transport, make_weierstrass,
-                     restrict_to_kernel, solve_full, solve_homogeneous,
-                     solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
-                     verify_properties)
+from daesemi import (Pencil, Signal, WeierstrassOracle, bromwich_invert,
+                     build_evaluator, contour_for, cross_check, eval_S_r,
+                     make_transport, make_weierstrass, restrict_to_kernel,
+                     solve_full, solve_homogeneous, solve_inhomogeneous_ran,
+                     solve_kernel_inhomogeneity, verify_properties)
 from daesemi.errors import (ClosedFormUnavailable, InconsistentInitialValue,
                             LiftFailed, SolverMismatch)
 
@@ -67,8 +67,8 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
             ref = exact(ts)
             cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts]
             assert traj.contours == tuple(cfg.kind for cfg in cfgs)
-            quad = np.array([bromwich_invert(exact.laplace, t, cfg)
-                             for t, cfg in zip(ts, cfgs)])
+            quad = np.array([bromwich_invert(exact.laplace, cfg)
+                             for cfg in cfgs])
             scale = np.max(np.abs(ref))
             sampling = np.max(np.abs(traj.values - quad)) / scale
             floor = np.max(np.abs(quad - ref)) / scale
@@ -107,6 +107,36 @@ def test_contour_falls_back_to_the_line_outside_the_hyperbola():
     assert np.max(np.abs(traj.values - exact)) < 1e-8
     assert traj.classification == "classical"
     assert solve_homogeneous(Pencil(E, A), [1.0, 2.0, 0.0], ts).contours is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hyperbola_stays_accurate_at_long_times(k):
+    # a real spectrum in [-2, 0] fits the hyperbola at every t, so the
+    # weights' e^{z t} must not grow with t; the line gave 1e-9 here
+    ts = np.array([0.0, 10.0, 20.0, 30.0])
+    for seed in range(3):
+        _, base = make_weierstrass(8, 8, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(8, 8))
+                            + 1j * rng.normal(size=(8, 8)))
+        J = Q @ np.diag(-np.linspace(0.0, 2.0, 8)) @ Q.conj().T
+        orc = WeierstrassOracle(T=base.T, S=base.S, J=J, N=base.N, k=k)
+        p = Pencil(orc.T @ scipy.linalg.block_diag(np.eye(8), orc.N) @ orc.S,
+                   orc.T @ scipy.linalg.block_diag(J, np.eye(8)) @ orc.S,
+                   omega_hint=0.0)
+        x0 = orc.consistent_x0(rng.normal(size=16) + 1j * rng.normal(size=16))
+        ev = build_evaluator(p, backend="contour")
+        traj = solve_homogeneous(p, x0, ts, method="contour", evaluator=ev)
+        ref = orc.solve(x0)(ts)
+        err = np.max(np.abs(traj.values - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10, (seed, err)
+        assert traj.contours == (None, "hyperbola", "hyperbola", "hyperbola")
+        assert traj.classification == "classical"
+        # S_r adds the pole at 0 and its integrated growth t^p
+        closed = build_evaluator(p)
+        for t in ts[1:]:
+            got, exact = eval_S_r(ev, t, x0), eval_S_r(closed, t, x0)
+            assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def _transport_reference(p, n, x0, ts):
