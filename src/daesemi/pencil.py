@@ -136,13 +136,9 @@ class Chain:
         return len(self.vectors)
 
 
-def pencil_matrix(p: Pencil, lam: complex) -> np.ndarray:
-    return lam * p.E - p.A
-
-
 def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray:
     """(lam E - A)^{-1}; least-squares pseudoinverse for rectangular pencils."""
-    M = pencil_matrix(p, lam)
+    M = lam * p.E - p.A
     if not p.is_square:
         # analysis-only: full column rank required; the pseudoinverse is
         # formed from the same SVD, truncated as np.linalg.pinv would

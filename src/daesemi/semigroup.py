@@ -8,21 +8,22 @@ matrix exponential analytically.  The contour backend inverts
 R_r(lam) x0 / lam^p numerically and needs no invertibility; on square
 pencils its samples are triangular solves with the evaluator's one QZ form.
 
-S_l comes from the transformed pencil (E (mu E - A)^{-1}, A (mu E - A)^{-1}),
-whose right objects coincide with the left objects of the original pencil.
+S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
+way, is built the same two ways from the Z side of the same decomposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
 from .pencil import COND_CAP, SAMPLE_COND_CAP, Pencil, QZForm, resolvent
-from .signals import Signal
+from .signals import Signal, _combine
 from .subspaces import (DecompositionReport, check_disjointness,
                         hilbert_decomposition)
 
@@ -47,7 +48,17 @@ def propagator_signal(M: np.ndarray) -> Signal:
     w, Q = w[order], Q[:, order]
     Qinv = np.linalg.solve(Q, np.eye(r, dtype=complex))
     outer = np.einsum("ik,kj->kij", Q, Qinv, order="C")  # Q[:, k] Qinv[k, :]
-    return Signal.from_terms(zip(outer, np.zeros(r), w), shape=(r, r))
+    # one term (k, 1, 0, w_k) per eigenvalue: _combine keeps ``outer`` as is
+    return _combine(outer, [(k, 1, 0, wk) for k, wk in enumerate(w)])
+
+
+def range_generator(R: np.ndarray, basis: np.ndarray, mu) -> np.ndarray:
+    """mu I - (basis^H R basis)^{-1}, the generator of the resolvent R at mu
+    on the span of ``basis``; refused above COND_CAP."""
+    R_restr = basis.conj().T @ R @ basis
+    if not np.linalg.cond(R_restr) <= COND_CAP:
+        raise ClosedFormUnavailable("resolvent singular on the range space")
+    return mu * np.eye(len(R_restr)) - np.linalg.inv(R_restr)
 
 
 @dataclass
@@ -65,25 +76,36 @@ class SemigroupEvaluator:
     prop: Signal | None                # exp(t A_R), matrix signal
     S_coord: Signal | None             # p-fold antiderivative of prop
     spectrum: np.ndarray | None = None  # eigvals(A_R); None without A_R
-    _left: "SemigroupEvaluator | None" = field(default=None, repr=False)
-    _qz: QZForm | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
         return self.V.shape[1]
 
-    def project(self, x0: np.ndarray) -> np.ndarray:
-        """Coordinates in X_ran of x0, a vector or a matrix of columns.
+    @cached_property
+    def _qz(self) -> QZForm:
+        return QZForm.of(self.pencil)
 
-        Rejects any column farther than XRAN_TOL (relative) from X_ran.
-        """
-        x0 = np.asarray(x0, dtype=complex)
-        c = self.V.conj().T @ x0
-        dist = np.linalg.norm(x0 - self.V @ c, axis=0)
-        if np.any(dist > XRAN_TOL * np.maximum(np.linalg.norm(x0, axis=0), 1.0)):
-            raise NotInXran(
-                f"distance to the range space is {np.max(dist):.2e}")
-        return c
+    @cached_property
+    def _S_left(self) -> Signal:
+        """S_l on Z_ran coordinates, from A_L = mu I - (restricted R_l(mu))^{-1}."""
+        dec = self.decomposition
+        A_L = range_generator(self.pencil.E @ dec.R_mu, dec.Z_ran.basis, self.mu)
+        return propagator_signal(A_L).antiderivative(self.p)
+
+    def project(self, x0: np.ndarray) -> np.ndarray:
+        """Coordinates in X_ran of x0, a vector or a matrix of columns."""
+        return _coordinates(self.V, x0)
+
+
+def _coordinates(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """basis^H v; rejects any column of v farther than XRAN_TOL (relative)
+    from the span of the orthonormal ``basis``."""
+    v = np.asarray(v, dtype=complex)
+    c = basis.conj().T @ v
+    dist = np.linalg.norm(v - basis @ c, axis=0)
+    if np.any(dist > XRAN_TOL * np.maximum(np.linalg.norm(v, axis=0), 1.0)):
+        raise NotInXran(f"distance to the range space is {np.max(dist):.2e}")
+    return c
 
 
 def require_closed_form(ev: SemigroupEvaluator, what: str) -> None:
@@ -115,73 +137,67 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
     r = V.shape[1]
     A_R = prop = S_coord = None
     if r > 0:
-        R_restr = V.conj().T @ (decomposition.R_mu @ p.E) @ V
-        if np.linalg.cond(R_restr) <= COND_CAP:
-            A_R = mu * np.eye(r) - np.linalg.solve(
-                R_restr, np.eye(r, dtype=complex))
-        elif backend == "closed_form":
-            raise ClosedFormUnavailable(
-                "R_r(mu) is not invertible on the range space "
-                "(range and kernel overlap)")
+        try:
+            A_R = range_generator(decomposition.R_mu @ p.E, V, mu)
+        except ClosedFormUnavailable:
+            if backend == "closed_form":
+                raise
         if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
-    spectrum = None
-    omega_growth = omega
-    if A_R is not None and A_R.size:
-        spectrum = np.linalg.eigvals(A_R)
-        omega_growth = max(float(np.max(spectrum.real)), omega)
+    spectrum = None if A_R is None else np.linalg.eigvals(A_R)
+    if spectrum is not None:
+        omega = max(float(np.max(spectrum.real)), omega)
     return SemigroupEvaluator(pencil=p, mu=mu, p=p_int, backend=backend,
-                              decomposition=decomposition, omega=omega_growth,
+                              decomposition=decomposition, omega=omega,
                               V=V, A_R=A_R, prop=prop,
                               S_coord=S_coord, spectrum=spectrum)
 
 
-def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
-    """lam -> (lam E - A)^{-1} E x0, the Laplace transform of the solution.
-
-    Square pencils are factored into QZ form once per evaluator, on the
-    first call, and each sample is one triangular solve; rectangular pencils
-    use the least-squares resolvent.  Both refuse a sample above
-    SAMPLE_COND_CAP with SingularAtLambda.
-    """
+def _pencil_solver(ev: SemigroupEvaluator, b: np.ndarray):
+    """lam -> (lam E - A)^{-1} b, refused above SAMPLE_COND_CAP: a triangular
+    solve with the evaluator's QZ form, factored on first use, on square
+    pencils; the least-squares resolvent on rectangular ones."""
     pen = ev.pencil
-    b = pen.E @ x0
     if not pen.is_square:
         return lambda lam: resolvent(pen, lam, cond_cap=SAMPLE_COND_CAP) @ b
-    if ev._qz is None:
-        ev._qz = QZForm.of(pen)
     return ev._qz.shifted_solver(b)
 
 
-def _left_evaluator(ev: SemigroupEvaluator) -> SemigroupEvaluator:
-    if ev._left is None:
-        inv = ev.decomposition.R_mu
-        tp = Pencil(ev.pencil.E @ inv, ev.pencil.A @ inv,
-                    omega_hint=ev.pencil.omega_hint,
-                    name=ev.pencil.name + ":left")
-        ev._left = build_evaluator(tp, mu=ev.mu, p_int=ev.p,
-                                   backend=ev.backend)
-    return ev._left
+def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
+    """lam -> (lam E - A)^{-1} E x0, the Laplace transform of the solution."""
+    return _pencil_solver(ev, ev.pencil.E @ x0)
+
+
+def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
+    """S_l(t) v0 for v0 in Z_ran if ``left``, else S_r(t) v0 for v0 in X_ran."""
+    basis = ev.decomposition.Z_ran.basis if left else ev.V
+    c = _coordinates(basis, v0)
+    if basis.shape[1] == 0 or t == 0:
+        return np.zeros(basis.shape[0], dtype=complex)
+    if ev.backend == "closed_form":
+        return basis @ ((ev._S_left if left else ev.S_coord)(t) @ c)
+    v, E, pp = basis @ c, ev.pencil.E, ev.p
+    solve = _pencil_solver(ev, v) if left else transform_sampler(ev, v)
+
+    def sample(lam):  # R_l(lam) v / lam^p or R_r(lam) v / lam^p
+        return (E @ solve(lam) if left else solve(lam)) / lam ** pp
+
+    # lam^{-p} adds a pole at 0 to the spectrum of A_R
+    spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
+    return bromwich_invert(sample, contour_for(t, ev.omega, spectrum))
 
 
 def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:
     """S_r(t) x0 for x0 in X_ran."""
-    c = ev.project(x0)
-    if ev.rank == 0 or t == 0:
-        return np.zeros(ev.pencil.n_x, dtype=complex)
-    if ev.backend == "closed_form":
-        return ev.V @ (ev.S_coord(t) @ c)
-    sample, pp = transform_sampler(ev, ev.V @ c), ev.p
-    # lam^{-p} adds a pole at 0 to the spectrum of A_R
-    spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
-    return bromwich_invert(lambda lam: sample(lam) / lam ** pp,
-                           contour_for(t, ev.omega, spectrum))
+    return _apply(ev, t, x0, left=False)
 
 
 def eval_S_l(ev: SemigroupEvaluator, t: float, z0: np.ndarray) -> np.ndarray:
-    """S_l(t) z0 for z0 in Z_ran, via the transformed pencil."""
-    return eval_S_r(_left_evaluator(ev), t, z0)
+    """S_l(t) z0 for z0 in Z_ran, from the Z side of the decomposition: the
+    closed form of A_L = mu I - (Z_ran^H R_l(mu) Z_ran)^{-1}, or the contour
+    inversion of E (lam E - A)^{-1} z0 / lam^p on eval_S_r's contour."""
+    return _apply(ev, t, z0, left=True)
 
 
 def cp_semigroup(ev: SemigroupEvaluator, t: float) -> np.ndarray:
@@ -249,11 +265,10 @@ def verify_properties(ev: SemigroupEvaluator,
     """
     require_closed_form(ev, "identity verification")
     if ev.rank == 0:
-        zero = {k: 0.0 for k in "abcdf"}
-        return PropertyReport(zero, tuple(time_grid), tol)
+        return PropertyReport(dict.fromkeys("abcdf", 0.0), tuple(time_grid), tol)
     E, A, V, p = ev.pencil.E, ev.pencil.A, ev.V, ev.p
     S = ev.S_coord
-    lev = _left_evaluator(ev)
+    W = ev.decomposition.Z_ran.basis
     Rr = ev.decomposition.R_mu @ E
     scale = max(np.linalg.norm(E, 2) + np.linalg.norm(A, 2), 1.0)
     ts = np.asarray(time_grid, dtype=float)
@@ -270,7 +285,7 @@ def verify_properties(ev: SemigroupEvaluator,
     S_amb = V @ St @ V.conj().T
     res["a"] = mnorm((Rr @ S_amb - S_amb @ Rr) @ (V @ V.conj().T))
     # (b) intertwining with the left semigroup
-    Slt = lev.V @ lev.S_coord(ts) @ lev.project(EV)
+    Slt = W @ ev._S_left(ts) @ _coordinates(W, EV)
     res["b"] = mnorm(EV @ St - Slt)
     # (c) p-times integrated equation (analytic derivative)
     res["c"] = mnorm(EV @ S.derivative()(ts) - (

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ClosedFormUnavailable, DecompositionUnavailable,
-                     InconsistentInitialValue, LiftFailed, SolverMismatch)
+from .errors import (DecompositionUnavailable, InconsistentInitialValue,
+                     LiftFailed, SolverMismatch)
 from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
-from .pencil import COND_CAP, Pencil, resolvent  # noqa: F401
+from .pencil import Pencil, resolvent  # noqa: F401
 from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
-                        require_closed_form, transform_sampler)
+                        range_generator, require_closed_form, transform_sampler)
 from .signals import Signal
 from .subspaces import (block_left_resolvent, decomposition_basis,
                         hilbert_decomposition)
@@ -167,10 +167,9 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     Each node is solved once and sampled as [F(z), z F(z) - x0], so one
     inversion gives x(t) and x'(t), and the classical residual is taken
     pointwise; it bounds the per-node solves but not the quadrature error
-    (see ``residual``).  On square pencils the pencil is factored once into complex
-    QZ form (held by the evaluator) and each of the 41 (hyperbola) or 109
-    (line) nodes per time is one triangular solve with lam EE - AA, gated
-    by its condition estimate.
+    (see ``residual``).  On square pencils each of the 41 (hyperbola) or 109
+    (line) nodes per time is one triangular solve with the evaluator's QZ
+    form, gated by its condition estimate.
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -283,13 +282,10 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     r0 = slices[0].stop - slices[0].start
     w0 = U.conj().T @ ((mu * p.E - p.A) @ x0)
     if r0 > 0:
-        R00 = B[slices[0], slices[0]]
-        if np.linalg.cond(R00) > COND_CAP:
-            raise ClosedFormUnavailable("R_l(mu) is not invertible on the "
-                                        "range space (range and kernel overlap)")
-        R00_inv = np.linalg.solve(R00, np.eye(r0, dtype=complex))
-        prop = propagator_signal(-R00_inv)
-        z[0] = prop.matvec(w0[slices[0]]) + prop.convolve(h_hat.apply(R00_inv))
+        # R00 = Z_ran^H R_l(mu) Z_ran, whose generator at shift 0 is -R00^{-1}
+        G = range_generator(p.E @ rep.R_mu, rep.Z_ran.basis, 0.0)
+        prop = propagator_signal(G)
+        z[0] = prop.matvec(w0[slices[0]]) - prop.convolve(h_hat.apply(G))
     else:
         z[0] = Signal.zero(0)
 

@@ -30,10 +30,6 @@ def orth_range(M: np.ndarray, rcond: float = RANK_RCOND,
     return SubspaceBasis(u[:, :rank], M.shape[0])
 
 
-def full_basis(n: int) -> SubspaceBasis:
-    return SubspaceBasis(np.eye(n, dtype=complex), n)
-
-
 def principal_angles(U: SubspaceBasis, V: SubspaceBasis) -> np.ndarray:
     """Principal angles (radians, ascending) between two subspaces.
 
@@ -81,7 +77,7 @@ class DecompositionReport:
 def _range_chain(R: np.ndarray, p_max: int) -> list[SubspaceBasis]:
     n = R.shape[0]
     floor = np.linalg.norm(R, 2) if n else 0.0
-    chain = [full_basis(n)]
+    chain = [SubspaceBasis(np.eye(n, dtype=complex), n)]
     for _ in range(p_max):
         nxt = orth_range(R @ chain[-1].basis, scale=floor)
         chain.append(nxt)
@@ -103,18 +99,14 @@ def stabilized_sequences(p: Pencil, mu: complex) -> DecompositionReport:
     # X_k = X_{k+1} exactly once ranks agree (nested ranges), so the chain
     # ends one step past stagnation; report the stagnation power.
     stag = max(len(X_chain), len(Z_chain)) - 2
-    stag = max(stag, 0)
-    p_used = max(stag, 1)
-    X_ker = power_kernel(Rr, p_used)
-    Z_ker = power_kernel(Rl, p_used)
-    # trim both chains to the common stagnation power
-    def _trim(chain):
-        while len(chain) < stag + 2:
-            chain = chain + [chain[-1]]
-        return chain[:stag + 2]
-    return DecompositionReport(mu=mu, stagnation_k=stag,
-                               X_chain=_trim(X_chain), Z_chain=_trim(Z_chain),
-                               X_ker=X_ker, Z_ker=Z_ker, R_mu=R_mu)
+    X_ker = power_kernel(Rr, max(stag, 1))
+    Z_ker = power_kernel(Rl, max(stag, 1))
+    # pad the shorter chain with its stagnated space to the common power
+    X_chain += [X_chain[-1]] * (stag + 2 - len(X_chain))
+    Z_chain += [Z_chain[-1]] * (stag + 2 - len(Z_chain))
+    return DecompositionReport(mu=mu, stagnation_k=stag, X_chain=X_chain,
+                               Z_chain=Z_chain, X_ker=X_ker, Z_ker=Z_ker,
+                               R_mu=R_mu)
 
 
 def hilbert_decomposition(p: Pencil, mu: complex | None = None) -> DecompositionReport:

@@ -5,8 +5,11 @@ import pytest
 
 from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      f_norm, forward_laplace, make_hamiltonian,
-                     make_weierstrass, right_resolvent, verify_properties)
+                     make_transport, make_weierstrass, right_resolvent,
+                     verify_properties)
+from daesemi import semigroup
 from daesemi.errors import NotInXran
+from daesemi.pencil import QZForm
 from daesemi.signals import Signal
 
 from conftest import nilpotent_of_index
@@ -58,14 +61,60 @@ def test_starts_at_zero_and_rejects_outside_vectors():
         [ev.project(X[:, 0]), ev.project(X[:, 1])]), rtol=0, atol=1e-14)
 
 
-def test_left_and_right_intertwine():
-    p, _ = make_weierstrass(2, 2, 2, seed=6)
-    ev = build_evaluator(p)
+@pytest.mark.parametrize("backend", ["closed_form", "contour"])
+@pytest.mark.parametrize("maker", [
+    lambda: make_weierstrass(2, 2, 2, seed=6)[0],
+    lambda: make_transport(2, 2),   # rectangular: n_z = 6, n_x = 4
+], ids=["weierstrass", "transport"])
+def test_left_and_right_intertwine(maker, backend):
+    """E S_r(t) x0 = S_l(t) E x0, S_l built from the Z side."""
+    p = maker()
+    ev = build_evaluator(p, backend=backend)
     x0 = ev.V[:, 0]
     for t in (0.4, 1.2):
         lhs = p.E @ eval_S_r(ev, t, x0)
         rhs = eval_S_l(ev, t, p.E @ x0)
         assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_contour_S_l_matches_closed_form(k):
+    p, _ = make_weierstrass(4, 4, k, seed=30 + k)
+    ev_c = build_evaluator(p, backend="closed_form")
+    ev_k = build_evaluator(p, backend="contour")
+    rng = np.random.default_rng(k)
+    z0 = ev_c.decomposition.Z_ran.basis @ (rng.normal(size=ev_c.rank)
+                                           + 1j * rng.normal(size=ev_c.rank))
+    for t in (0.3, 1.0, 2.0):
+        a = eval_S_l(ev_c, t, z0)
+        b = eval_S_l(ev_k, t, z0)
+        assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(a)
+
+
+def test_one_analysis_per_evaluator(monkeypatch):
+    """S_l reuses the evaluator's decomposition and QZ form."""
+    calls = {"decomposition": 0, "qz": 0}
+    decompose, qz_of = semigroup.hilbert_decomposition, QZForm.of
+
+    def counted_decomposition(*args, **kwargs):
+        calls["decomposition"] += 1
+        return decompose(*args, **kwargs)
+
+    def counted_qz(p):
+        calls["qz"] += 1
+        return qz_of(p)
+
+    monkeypatch.setattr(semigroup, "hilbert_decomposition",
+                        counted_decomposition)
+    monkeypatch.setattr(QZForm, "of", staticmethod(counted_qz))
+    p, _ = make_weierstrass(2, 2, 2, seed=6)
+    verify_properties(build_evaluator(p))
+    assert calls == {"decomposition": 1, "qz": 0}
+    ev = build_evaluator(p, backend="contour")
+    x0 = ev.V[:, 0]
+    eval_S_r(ev, 1.0, x0)
+    eval_S_l(ev, 1.0, p.E @ x0)
+    assert calls == {"decomposition": 2, "qz": 1}
 
 
 @pytest.mark.parametrize("maker", [
