@@ -80,17 +80,14 @@ def trajectory_csv(times, values) -> str:
     """Header ``t,x_0_re,x_0_im,...``; 17 significant digits."""
     values = np.atleast_2d(np.asarray(values, dtype=complex))
     n = values.shape[1]
+    header = ",".join(["t"] + [f"x_{j}_{part}" for j in range(n)
+                               for part in ("re", "im")])
+    # complex128 rows viewed as float64 are re, im interleaved
+    rows = np.column_stack([np.asarray(times, dtype=float),
+                            np.ascontiguousarray(values).view(float)])
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    header = ["t"]
-    for j in range(n):
-        header += [f"x_{j}_re", f"x_{j}_im"]
-    w.writerow(header)
-    for t, row in zip(np.asarray(times, dtype=float), values):
-        out = [f"{t:.17g}"]
-        for v in row:
-            out += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-        w.writerow(out)
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",", header=header,
+               comments="")
     return buf.getvalue()
 
 

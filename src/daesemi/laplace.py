@@ -1,7 +1,10 @@
 """Numerical Laplace transforms: Bromwich inversion and forward quadrature.
 
 ``bromwich_invert`` sums one list of nodes and weights, built by one of two
-rules that ``contour_for`` picks per output time t:
+rules that ``contour_for`` picks per output time t.  The transform is called
+once on the array of all nodes (of one rule, or of a list of rules for
+several times) and returns one sample per node as a row, so a sampler can
+solve every node in one batched sweep:
 
 * the hyperbola z(u) = sigma + mu (1 + sin(iu - alpha)), sampled by the
   trapezoid rule at u_k = k h, k = -N..N (Weideman & Trefethen, Math. Comp.
@@ -122,21 +125,25 @@ def contour_for(t: float, omega: float = 0.0,
     return ContourConfig("line", sigma, sigma + 1j * h * k, w)
 
 
-def bromwich_invert(F, cfg: ContourConfig) -> np.ndarray:
+def bromwich_invert(F, cfg):
     """(1/2 pi i) * integral of e^{lam t} F(lam) along the contour cfg.
 
-    F maps a complex point to a complex vector (or scalar).  Each node is
-    sampled once, and the samples are stacked and summed with the rule's
-    weights; a non-finite sample raises NonFiniteSample.
+    F maps the array of the rule's K nodes to its K samples, one row per
+    node (a scalar transform gives shape (K,), a vector one (K, n)); it is
+    called once.  ``cfg`` is one ContourConfig, or a list of them whose
+    nodes are all sampled by that one call, and then one result per rule
+    is returned, stacked.  A non-finite sample raises NonFiniteSample.
     """
-    def sample(lam):
-        val = np.asarray(F(lam), dtype=complex)
-        if not np.all(np.isfinite(val)):
-            raise NonFiniteSample(f"transform not finite at {lam}")
-        return val
-
-    return np.tensordot(cfg.weights, np.array([sample(z) for z in cfg.nodes]),
-                        1)
+    rules = [cfg] if isinstance(cfg, ContourConfig) else list(cfg)
+    nodes = np.concatenate([r.nodes for r in rules])
+    vals = np.asarray(F(nodes), dtype=complex)
+    finite = np.isfinite(vals).reshape(len(nodes), -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteSample(
+            f"transform not finite at {nodes[np.argmin(finite)]}")
+    parts = np.split(vals, np.cumsum([len(r.nodes) for r in rules])[:-1])
+    out = [np.tensordot(r.weights, v, 1) for r, v in zip(rules, parts)]
+    return out[0] if isinstance(cfg, ContourConfig) else np.array(out)
 
 
 def forward_laplace(g, lam: complex, T: float = 40.0, n: int = 64,

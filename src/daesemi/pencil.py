@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import ztrcon, ztrtrs
 
 from .errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
 
@@ -175,26 +174,88 @@ class QZForm:
     def of(cls, p: Pencil) -> "QZForm":
         return cls(*scipy.linalg.qz(p.A, p.E, output="complex"))
 
-    def shifted_solver(self, b: np.ndarray):
-        """lam -> (lam E - A)^{-1} b, with Q^H b formed once.
+    def solve_at(self, lams, b: np.ndarray) -> np.ndarray:
+        """(lam_k E - A)^{-1} b for every lam_k in ``lams``, one row each.
 
-        Each call gates lam EE - AA by its LAPACK 1-norm condition estimate
-        and raises SingularAtLambda above SAMPLE_COND_CAP.
+        All K triangles T_k = lam_k EE - AA are solved by one vectorized
+        back-substitution, gated by their batched 1-norm condition estimate
+        (``solve_with_rcond``); a sample with an exact zero pivot or above
+        SAMPLE_COND_CAP raises SingularAtLambda.
         """
-        c = self.Q.conj().T @ np.asarray(b, dtype=complex)
+        lams = np.asarray(lams, dtype=complex)
+        y, rcond = self.solve_with_rcond(
+            lams, self.Q.conj().T @ np.asarray(b, dtype=complex))
+        bad = ~(rcond >= 1.0 / SAMPLE_COND_CAP)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SingularAtLambda(f"rcond {rcond[k]:.2e} at lambda={lams[k]}")
+        return (self.Z @ y).T
 
-        def solve(lam: complex) -> np.ndarray:
-            T = lam * self.EE - self.AA
-            rcond, info = ztrcon(T)
-            if (info != 0 or not T.diagonal().all()
-                    or not rcond >= 1.0 / SAMPLE_COND_CAP):
-                raise SingularAtLambda(f"rcond {rcond:.2e} at lambda={lam}")
-            y, info = ztrtrs(T, c)
-            if info != 0:
-                raise SingularAtLambda(f"zero pivot at lambda={lam}")
-            return self.Z @ y
+    def solve_with_rcond(self, lams: np.ndarray, c: np.ndarray):
+        """(Y, rcond): Y[:, k] = T_k^{-1} c and rcond[k] estimates
+        1/(||T_k||_1 ||T_k^{-1}||_1), for T_k = lam_k EE - AA.
 
-        return solve
+        ||T_k^{-1}||_1 is estimated as ztrcon does, by Hager's method in
+        Higham's form (ACM TOMS 14, 1988), run on every triangle at once and
+        stopped after its first step.  The start vectors x = 1/n and the
+        alternating x_i = (-1)^i (1 + i/(n-1)) ride along as extra columns of
+        the sweep for c; one sweep with T^H gives z = T^{-H} sign(T^{-1} x),
+        and one more the column T^{-1} e_j at j = argmax |z_j|.  Each of
+        ||T^{-1} x||_1, ||T^{-1} e_j||_1 and 2 ||T^{-1} alt||_1 / (3n) is a
+        lower bound, so the largest is taken.  ||T_k||_1 is bounded above
+        column by column by |diag T_k| + |lam_k| |EE| + |AA| summed over the
+        strict upper triangle, so rcond can only come out lower than with
+        the exact norm.  An exact zero pivot raises SingularAtLambda.
+        """
+        n, K = len(c), len(lams)
+        pair = np.stack([self.EE, self.AA])
+        d = lams * self.EE.diagonal()[:, None] - self.AA.diagonal()[:, None]
+        if not d.all():
+            k = int(np.argmin(d.all(axis=0)))
+            raise SingularAtLambda(f"zero pivot at lambda={lams[k]}")
+        alt = (-1.0) ** np.arange(n) * np.linspace(1.0, 2.0, n)
+        rhs = np.stack([c, np.full(n, 1.0 / n), alt], axis=1)[:, None, :]
+        off = np.abs(np.triu(pair, 1)).sum(axis=1)          # (2, n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            Y = _upper_sweep(pair, lams, d, np.broadcast_to(rhs, (n, K, 3)))
+            y = Y[:, :, 1]
+            a = np.abs(y)
+            sgn = np.where(a > np.finfo(float).tiny, y / a, 1.0)
+            # T^H is lower triangular; reversing its rows and columns makes
+            # it upper triangular again
+            pair_h = np.ascontiguousarray(
+                pair.conj().transpose(0, 2, 1)[:, ::-1, ::-1])
+            z = _upper_sweep(pair_h, lams.conj(), d[::-1].conj(),
+                             sgn[::-1, :, None])[::-1, :, 0]
+            e = np.zeros((n, K, 1))
+            e[np.argmax(np.abs(z), axis=0), np.arange(K), 0] = 1.0
+            inv_norm = np.maximum.reduce([
+                a.sum(axis=0),
+                np.abs(_upper_sweep(pair, lams, d, e)[:, :, 0]).sum(axis=0),
+                2.0 * np.abs(Y[:, :, 2]).sum(axis=0) / (3 * n)])
+            norm = np.max(np.abs(d) + np.abs(lams) * off[0][:, None]
+                          + off[1][:, None], axis=0)
+            rcond = 1.0 / (norm * inv_norm)
+        return Y[:, :, 0], rcond
+
+
+def _upper_sweep(pair: np.ndarray, lams: np.ndarray, d: np.ndarray,
+                 R: np.ndarray) -> np.ndarray:
+    """Y[:, k] = (lam_k pair[0] - pair[1])^{-1} R[:, k] for every k.
+
+    pair[0] and pair[1] are upper triangular, d (n, K) holds the diagonals
+    of the K triangles and R is (n, K, m).  Each row step is one product of
+    pair[:, i, i+1:] with the (n - i - 1, K m) block already solved, so no
+    (K, n, n) stack is formed.
+    """
+    n, K, m = R.shape
+    Y = np.empty((n, K, m), dtype=complex)
+    lam = lams[:, None]
+    for i in range(n - 1, -1, -1):
+        s = (pair[:, i, i + 1:] @ Y[i + 1:].reshape(n - 1 - i, K * m)
+             ).reshape(2, K, m)
+        Y[i] = (R[i] - lam * s[0] + s[1]) / d[i][:, None]
+    return Y
 
 
 def right_resolvent(p: Pencil, lam: complex) -> np.ndarray:

@@ -6,7 +6,8 @@ closed-form backend restricts R_r(mu) to X_ran, inverts it to obtain the
 generator A_R = mu I - (restricted R_r(mu))^{-1}, and integrates the
 matrix exponential analytically.  The contour backend inverts
 R_r(lam) x0 / lam^p numerically and needs no invertibility; on square
-pencils its samples are triangular solves with the evaluator's one QZ form.
+pencils all its samples come from one batched triangular sweep with the
+evaluator's one QZ form.
 
 S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
 way, is built the same two ways from the Z side of the same decomposition.
@@ -89,7 +90,7 @@ class SemigroupEvaluator:
     def _S_left(self) -> Signal:
         """S_l on Z_ran coordinates, from A_L = mu I - (restricted R_l(mu))^{-1}."""
         dec = self.decomposition
-        A_L = range_generator(self.pencil.E @ dec.R_mu, dec.Z_ran.basis, self.mu)
+        A_L = range_generator(dec.R_l, dec.Z_ran.basis, self.mu)
         return propagator_signal(A_L).antiderivative(self.p)
 
     def project(self, x0: np.ndarray) -> np.ndarray:
@@ -138,7 +139,7 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
     A_R = prop = S_coord = None
     if r > 0:
         try:
-            A_R = range_generator(decomposition.R_mu @ p.E, V, mu)
+            A_R = range_generator(decomposition.R_r, V, mu)
         except ClosedFormUnavailable:
             if backend == "closed_form":
                 raise
@@ -155,17 +156,20 @@ def build_evaluator(p: Pencil, mu: complex | None = None, p_int: int | None = No
 
 
 def _pencil_solver(ev: SemigroupEvaluator, b: np.ndarray):
-    """lam -> (lam E - A)^{-1} b, refused above SAMPLE_COND_CAP: a triangular
-    solve with the evaluator's QZ form, factored on first use, on square
-    pencils; the least-squares resolvent on rectangular ones."""
+    """lams -> (lam_k E - A)^{-1} b as rows, refused above SAMPLE_COND_CAP:
+    one batched triangular sweep with the evaluator's QZ form, factored on
+    first use, on square pencils; the least-squares resolvent node by node
+    on rectangular ones."""
     pen = ev.pencil
     if not pen.is_square:
-        return lambda lam: resolvent(pen, lam, cond_cap=SAMPLE_COND_CAP) @ b
-    return ev._qz.shifted_solver(b)
+        return lambda lams: np.array(
+            [resolvent(pen, lam, cond_cap=SAMPLE_COND_CAP) @ b for lam in lams])
+    return lambda lams: ev._qz.solve_at(lams, b)
 
 
 def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
-    """lam -> (lam E - A)^{-1} E x0, the Laplace transform of the solution."""
+    """lams -> (lam_k E - A)^{-1} E x0 as rows, the Laplace transform of the
+    solution at every node."""
     return _pencil_solver(ev, ev.pencil.E @ x0)
 
 
@@ -180,8 +184,9 @@ def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
     v, E, pp = basis @ c, ev.pencil.E, ev.p
     solve = _pencil_solver(ev, v) if left else transform_sampler(ev, v)
 
-    def sample(lam):  # R_l(lam) v / lam^p or R_r(lam) v / lam^p
-        return (E @ solve(lam) if left else solve(lam)) / lam ** pp
+    def sample(lams):  # R_l(lam) v / lam^p or R_r(lam) v / lam^p, as rows
+        F = solve(lams)
+        return (F @ E.T if left else F) / lams[:, None] ** pp
 
     # lam^{-p} adds a pole at 0 to the spectrum of A_R
     spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
@@ -269,7 +274,7 @@ def verify_properties(ev: SemigroupEvaluator,
     E, A, V, p = ev.pencil.E, ev.pencil.A, ev.V, ev.p
     S = ev.S_coord
     W = ev.decomposition.Z_ran.basis
-    Rr = ev.decomposition.R_mu @ E
+    Rr = ev.decomposition.R_r
     scale = max(np.linalg.norm(E, 2) + np.linalg.norm(A, 2), 1.0)
     ts = np.asarray(time_grid, dtype=float)
 

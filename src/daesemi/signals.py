@@ -166,8 +166,13 @@ class Signal:
                                      (m - r) + q, a + c))
         return _combine(prods, rows)
 
-    def laplace(self, lam: complex) -> np.ndarray:
-        """Exact transform  int_0^inf e^{-lam t} f(t) dt  (Re lam large)."""
+    def laplace(self, lam) -> np.ndarray:
+        """Exact transform  int_0^inf e^{-lam t} f(t) dt  (Re lam large).
+
+        ``lam`` may be an array; the result has one row per point, so the
+        transform can be handed to ``bromwich_invert`` as it is.
+        """
+        lam = np.asarray(lam, dtype=complex)[..., np.newaxis]
         weights = (_gamma(self.powers + 1)
                    / (lam - self.rates) ** (self.powers + 1))
         return np.tensordot(weights, self.coeffs, axes=1)
@@ -175,10 +180,22 @@ class Signal:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
+        """The value at t, or one row per entry of an array t.
+
+        A term that is infinite at t (a negative power at t = 0) makes inf
+        exactly the components in which its coefficient is nonzero.
+        """
         tt = np.asarray(t, dtype=float)[..., np.newaxis]
         with np.errstate(divide="ignore", invalid="ignore"):
             basis = tt ** self.powers * np.exp(tt * self.rates)
+        blown = np.isinf(basis)
+        if not blown.any():
             return np.tensordot(basis, self.coeffs, axes=1)
+        out = np.tensordot(np.where(blown, 0.0, basis), self.coeffs, axes=1)
+        hit = np.tensordot(blown.astype(float),
+                           (self.coeffs != 0).astype(float), axes=1)
+        out[hit > 0] = np.inf
+        return out
 
     def value_at_zero(self):
         """f(0); terms with negative power make it infinite."""

@@ -37,6 +37,10 @@ LIFT_TOL = 1e-8
 CLASSICAL_TOL = 1e-8
 MILD_TOL = 1e-8
 CROSS_TOL = 1e-4
+# The contour nodes of all output times share one batched sweep, which
+# holds about ten n-vectors per node; a long time grid is sampled in blocks
+# of about SWEEP_ENTRIES node entries (nodes times n), about 10 MB each.
+SWEEP_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -79,7 +83,9 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
         return np.inf, np.inf
     if f is None:
         f = Signal.zero(p.n_z)
-    scale = p.scale * max(1.0, float(np.max(np.abs(traj.values), initial=0.0)))
+    # an entry that blows up at t = 0 must not inflate the scale
+    scale = p.scale * max(1.0, float(np.max(
+        np.abs(traj.values), where=np.isfinite(traj.values), initial=0.0)))
     if traj.signal is not None:
         x = traj.signal
         # the pointwise form needs x continuous and Ex differentiable at 0;
@@ -167,9 +173,12 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     Each node is solved once and sampled as [F(z), z F(z) - x0], so one
     inversion gives x(t) and x'(t), and the classical residual is taken
     pointwise; it bounds the per-node solves but not the quadrature error
-    (see ``residual``).  On square pencils each of the 41 (hyperbola) or 109
-    (line) nodes per time is one triangular solve with the evaluator's QZ
-    form, gated by its condition estimate.
+    (see ``residual``).  The 41 (hyperbola) or 109 (line) nodes of every
+    output time are sampled by one call: on square pencils one batched
+    back-substitution with the evaluator's QZ form solves them all, gated
+    node by node by a batched 1-norm condition estimate
+    (``QZForm.solve_at``); a long time grid is sampled in blocks of about
+    SWEEP_ENTRIES node entries.
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -184,21 +193,22 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     x0p = ev.V @ c
     solve = transform_sampler(ev, x0p)
 
-    def sample(lam):
-        F = solve(lam)
-        return np.concatenate([F, lam * F - x0p])  # transforms of x and x'
+    def sample(lams):  # transforms of x and x' at every node, as rows
+        F = solve(lams)
+        return np.hstack([F, lams[:, None] * F - x0p])
 
     ts = np.asarray(ts, dtype=float)
     vals = np.zeros((len(ts), 2 * p.n_x), dtype=complex)
     vals[ts == 0] = np.concatenate([x0p, np.full(p.n_x, np.nan)])
-    kinds = []
-    for i, t in enumerate(ts):
-        if t == 0:
-            kinds.append(None)
-            continue
-        cfg = contour_for(t, ev.omega, ev.spectrum)
-        vals[i] = bromwich_invert(sample, cfg)
-        kinds.append(cfg.kind)
+    pos = np.flatnonzero(ts != 0)
+    cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts[pos]]
+    block = np.cumsum([len(cfg.nodes) * p.n_x for cfg in cfgs]) // SWEEP_ENTRIES
+    for b in np.unique(block):
+        vals[pos[block == b]] = bromwich_invert(
+            sample, [cfg for cfg, bb in zip(cfgs, block) if bb == b])
+    kinds = [None] * len(ts)
+    for i, cfg in zip(pos, cfgs):
+        kinds[i] = cfg.kind
     traj = Trajectory(times=ts, values=vals[:, :p.n_x], consistency=cons,
                       derivatives=vals[:, p.n_x:], contours=tuple(kinds))
     _classify(p, traj, None, None)
@@ -283,7 +293,7 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     w0 = U.conj().T @ ((mu * p.E - p.A) @ x0)
     if r0 > 0:
         # R00 = Z_ran^H R_l(mu) Z_ran, whose generator at shift 0 is -R00^{-1}
-        G = range_generator(p.E @ rep.R_mu, rep.Z_ran.basis, 0.0)
+        G = range_generator(rep.R_l, rep.Z_ran.basis, 0.0)
         prop = propagator_signal(G)
         z[0] = prop.matvec(w0[slices[0]]) - prop.convolve(h_hat.apply(G))
     else:

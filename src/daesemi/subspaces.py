@@ -62,6 +62,8 @@ class DecompositionReport:
     X_ker: SubspaceBasis
     Z_ker: SubspaceBasis
     R_mu: np.ndarray  # (mu E - A)^{-1}, shared by every later stage
+    R_r: np.ndarray   # R_r(mu) = R_mu E, on the x-space
+    R_l: np.ndarray   # R_l(mu) = E R_mu, on the z-space
     W_X: list[SubspaceBasis] = field(default_factory=list)  # W_X[i] = level i+1
     W_Z: list[SubspaceBasis] = field(default_factory=list)
 
@@ -106,7 +108,7 @@ def stabilized_sequences(p: Pencil, mu: complex) -> DecompositionReport:
     Z_chain += [Z_chain[-1]] * (stag + 2 - len(Z_chain))
     return DecompositionReport(mu=mu, stagnation_k=stag, X_chain=X_chain,
                                Z_chain=Z_chain, X_ker=X_ker, Z_ker=Z_ker,
-                               R_mu=R_mu)
+                               R_mu=R_mu, R_r=Rr, R_l=Rl)
 
 
 def hilbert_decomposition(p: Pencil, mu: complex | None = None) -> DecompositionReport:
@@ -155,7 +157,7 @@ def block_left_resolvent(rep: DecompositionReport, p: Pencil, mu: complex):
     block.
     """
     U = decomposition_basis(rep, side="Z")
-    Rl = p.E @ rep.R_mu
+    Rl = rep.R_l
     B = U.conj().T @ Rl @ U
     sizes = [rep.Z_ran.rank] + [w.rank for w in reversed(rep.W_Z)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -1,5 +1,7 @@
 """Serialization round-trips and the command-line surface."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -53,6 +55,31 @@ def test_trajectory_csv_round_trip():
     assert text.splitlines()[0] == "t,x_0_re,x_0_im,x_1_re,x_1_im"
     ts2, vals2 = parse_trajectory_csv(text)
     assert np.array_equal(ts2, ts) and np.array_equal(vals2, vals)
+
+
+def _row_formatter_csv(times, values) -> str:
+    """Reference writer: csv.writer with one ``.17g`` f-string per value."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t"] + [f"x_{j}_{part}" for j in range(values.shape[1])
+                        for part in ("re", "im")])
+    for t, row in zip(times, values):
+        w.writerow([f"{t:.17g}"] + [f"{x:.17g}" for v in row
+                                    for x in (v.real, v.imag)])
+    return buf.getvalue()
+
+
+def test_trajectory_csv_matches_row_formatter():
+    rng = np.random.default_rng(3)
+    ts = np.linspace(0.0, 2.0, 40)
+    ts[1] = 5e-324
+    vals = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    vals[0] = [complex(-0.0, np.nan), complex(np.inf, -np.inf),
+               5e-324 + 1e-310j, 1e300 - 1e-300j]
+    vals[2, :2] = [complex(np.nan, -0.0), -1e300 - 0.0j]
+    assert trajectory_csv(ts, vals) == _row_formatter_csv(ts, vals)
+    assert trajectory_csv(ts[:0], vals[:0]) == _row_formatter_csv(ts[:0],
+                                                                  vals[:0])
 
 
 def test_cli_example_then_analyze(tmp_path, capsys):

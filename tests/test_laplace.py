@@ -41,7 +41,7 @@ def test_invert_growing_exponential():
 def test_invert_vector_valued():
     t = 0.8
     got = bromwich_invert(
-        lambda lam: np.array([1.0 / (lam + 1.0), 1.0 / lam ** 2]),
+        lambda lam: np.stack([1.0 / (lam + 1.0), 1.0 / lam ** 2], axis=-1),
         contour_for(t))
     assert np.allclose(got, [np.exp(-t), t], atol=1e-7)
 
@@ -55,8 +55,8 @@ def test_contour_without_spectrum_is_the_line():
 
 def test_hyperbola_inverts_known_transforms():
     # e^{-t}, cos t, t^3 e^{-2t}/6 and t^2/2: poles at -1, +-i, -2 and 0
-    F = lambda lam: np.array([1.0 / (lam + 1.0), lam / (lam ** 2 + 1.0),
-                              (lam + 2.0) ** -4.0, lam ** -3.0])
+    F = lambda lam: np.stack([1.0 / (lam + 1.0), lam / (lam ** 2 + 1.0),
+                              (lam + 2.0) ** -4.0, lam ** -3.0], axis=-1)
     for t in (0.25, 1.0, 1.5):
         cfg = contour_for(t, 0.0, [-1.0, 1j, -1j, -2.0, 0.0])
         assert cfg.kind == "hyperbola"
@@ -64,14 +64,15 @@ def test_hyperbola_inverts_known_transforms():
                  t ** 2 / 2.0]
         assert np.max(np.abs(bromwich_invert(F, cfg) - exact)) < 1e-11
         nodes = []
-        bromwich_invert(lambda lam: nodes.append(lam) or 0.0, cfg)
+        bromwich_invert(lambda lam: nodes.extend(lam) or np.zeros(len(lam)),
+                        cfg)
         assert len(nodes) == 41
 
 
 def test_hyperbola_round_off_does_not_grow_with_t():
     # e^{-t} and 1, poles at -1 and 0: the shift's part of sigma t is
     # capped, so the weights' e^{z t} stay bounded at every t
-    F = lambda lam: np.array([1.0 / (lam + 1.0), 1.0 / lam])
+    F = lambda lam: np.stack([1.0 / (lam + 1.0), 1.0 / lam], axis=-1)
     for t in (10.0, 30.0, 100.0):
         cfg = contour_for(t, 0.0, [-1.0, 0.0])
         assert cfg.kind == "hyperbola"
@@ -99,11 +100,12 @@ def test_invert_rejects_nonfinite_samples():
     t = 1.0
     cfg = contour_for(t)
     with pytest.raises(NonFiniteSample):
-        bromwich_invert(lambda lam: np.array([np.inf]), cfg)
+        bromwich_invert(lambda lam: np.full((len(lam), 1), np.inf), cfg)
     cfg = contour_for(t, 0.0, [-1.0])
     assert cfg.kind == "hyperbola"
     with pytest.raises(NonFiniteSample):
-        bromwich_invert(lambda lam: np.array([1.0, np.nan]), cfg)
+        bromwich_invert(lambda lam: np.stack(
+            [np.ones(len(lam)), np.full(len(lam), np.nan)], axis=-1), cfg)
 
 
 def test_forward_matches_exact_transform():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import ztrcon
 
 from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
                      contour_for, estimate_resolvent_index, left_resolvent,
@@ -136,7 +138,7 @@ def test_rectangular_pencil_resolvent():
 
 def _contour_nodes(t, omega, spectrum=None):
     lams = []
-    bromwich_invert(lambda lam: lams.append(lam) or 0.0,
+    bromwich_invert(lambda lam: lams.extend(lam) or np.zeros(len(lam)),
                     contour_for(t, omega, spectrum))
     return lams
 
@@ -152,14 +154,14 @@ def test_qz_shifted_solve_matches_resolvent(k):
     ev = build_evaluator(p, backend="contour")
     rng = np.random.default_rng(k)
     b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
-    solve = QZForm.of(p).shifted_solver(b)
+    qz = QZForm.of(p)
     assert all(contour_for(t, ev.omega, ev.spectrum).kind == "hyperbola"
                for t in (0.25, 1.0, 1.5))
     for t in (0.25, 1.0, 1.5):
-        for lam in (_contour_nodes(t, ev.omega)
-                    + _contour_nodes(t, ev.omega, ev.spectrum)):
+        lams = (_contour_nodes(t, ev.omega)
+                + _contour_nodes(t, ev.omega, ev.spectrum))
+        for lam, x in zip(lams, qz.solve_at(lams, b)):
             M = lam * p.E - p.A
-            x = solve(lam)
             assert np.linalg.norm(M @ x - b) <= 1e-14 * (
                 np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(b))
             ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
@@ -168,16 +170,46 @@ def test_qz_shifted_solve_matches_resolvent(k):
 
 
 def test_qz_shifted_solve_raises_at_eigenvalue(diag_pencil):
-    solve = QZForm.of(diag_pencil).shifted_solver(np.ones(2))
+    qz = QZForm.of(diag_pencil)
     with pytest.raises(SingularAtLambda):
-        solve(-1.0)
-    assert np.allclose(solve(1.0), [0.5, 1.0 / 3.0])
+        qz.solve_at([-1.0], np.ones(2))
+    assert np.allclose(qz.solve_at([1.0], np.ones(2))[0], [0.5, 1.0 / 3.0])
 
 
 def test_qz_shifted_solve_raises_on_singular_pencil():
     # det(lam E - A) = 0 for every lam
     E = np.array([[0.0, 1.0], [0.0, 0.0]])
-    solve = QZForm.of(Pencil(E, E.copy())).shifted_solver(np.ones(2))
+    qz = QZForm.of(Pencil(E, E.copy()))
     for lam in (2.0, 5.0 + 3.0j):
         with pytest.raises(SingularAtLambda):
-            solve(lam)
+            qz.solve_at([lam], np.ones(2))
+
+
+@pytest.mark.parametrize("case", ["diag", 1, 2, 3, 4])
+def test_batched_gate_refuses_what_ztrcon_refuses(case, diag_pencil):
+    """Nodes approaching each finite eigenvalue from four directions: the
+    batched estimate refuses every triangle that LAPACK's per-node ztrcon
+    refuses, and where both accept it is within a factor 2 of ztrcon's."""
+    p = diag_pencil if case == "diag" else make_weierstrass(8, 8, case,
+                                                            seed=case)[0]
+    qz = QZForm.of(p)
+    w = scipy.linalg.eigvals(p.A, p.E)
+    steps = np.logspace(1, -18, 60)
+    lams = np.concatenate([s + d * steps for s in w[np.isfinite(w)]
+                           for d in (1, 1j, -1, (1 - 1j) / np.sqrt(2))])
+    # an exact zero pivot is refused before any estimate; keep the rest
+    lams = lams[np.all(lams[:, None] * qz.EE.diagonal() - qz.AA.diagonal(),
+                       axis=1)]
+    b = np.ones(len(p.E))
+    _, rcond = qz.solve_with_rcond(lams, qz.Q.conj().T @ b)
+    ref = np.array([ztrcon(lam * qz.EE - qz.AA)[0] for lam in lams])
+    cap = 1.0 / SAMPLE_COND_CAP
+    refused = ref < cap
+    assert refused.any() and not refused.all()
+    assert np.all(rcond[refused] < cap)
+    both = ~refused & (rcond >= cap)
+    assert np.all(np.abs(np.log2(rcond[both] / ref[both])) <= 1.0)
+    for lam in lams[refused][::10]:
+        with pytest.raises(SingularAtLambda):
+            qz.solve_at([lam], b)
+    qz.solve_at(lams[both], b)

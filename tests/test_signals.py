@@ -91,6 +91,27 @@ def test_laplace_against_quadrature():
     assert np.allclose(sig.laplace(lam), quad, atol=1e-6)
 
 
+def test_laplace_takes_an_array_of_points():
+    rng = np.random.default_rng(5)
+    for shape in (2, (2, 3)):
+        sig = Signal.from_terms(
+            [(rng.normal(size=shape) + 1j * rng.normal(size=shape), q, a)
+             for q, a in ((0, -1.0), (1, 0.5j), (3, -0.2 + 1.0j))])
+        lams = np.array([3.0 + 0.7j, 1.5, 2.0 - 4.0j, 10.0 + 1.0j])
+        rows = sig.laplace(lams)
+        assert rows.shape == (len(lams),) + sig.shape
+        for lam, row in zip(lams, rows):
+            np.testing.assert_allclose(row, sig.laplace(lam), rtol=1e-14)
+
+
+def test_call_at_zero_blows_up_only_where_negative_powers_act():
+    sig = Signal.from_terms([([1, 0], -1, 0), ([0, 2], 0, 0.5)])
+    assert np.array_equal(sig(0.0), [np.inf, 2.0])
+    vals = sig(np.array([0.0, 1.0]))
+    assert np.array_equal(vals[0], [np.inf, 2.0])
+    assert np.allclose(vals[1], [1.0, 2.0 * np.exp(0.5)])
+
+
 def test_vanishing_order_powers():
     for q in range(4):
         sig = Signal.from_terms([([1.0], q, -0.3)])

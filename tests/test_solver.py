@@ -67,8 +67,7 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
             ref = exact(ts)
             cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts]
             assert traj.contours == tuple(cfg.kind for cfg in cfgs)
-            quad = np.array([bromwich_invert(exact.laplace, cfg)
-                             for cfg in cfgs])
+            quad = bromwich_invert(exact.laplace, cfgs)
             scale = np.max(np.abs(ref))
             sampling = np.max(np.abs(traj.values - quad)) / scale
             floor = np.max(np.abs(quad - ref)) / scale
@@ -365,3 +364,23 @@ def test_smoothness_ladder_on_nilpotent_pencil(nilpotent_pencil):
     assert rough.mild_res <= 1e-8
     smooth = solve_power(1.75)
     assert smooth.classification == "classical"
+
+
+def test_blow_up_at_zero_keeps_the_residual_scale(nilpotent_pencil):
+    """x ~ t^{-1/4} reads inf at t = 0 only in the component that carries
+    it; that entry must not scale the residuals of a wrong trajectory down
+    to zero."""
+    kr = restrict_to_kernel(nilpotent_pencil, 2.0, p_int=3)
+    f = Signal.from_terms([([1.0, 0.5], 0.75, 0.0)])
+    x = solve_kernel_inhomogeneity(
+        kr, f.apply(kr.basis_Z_ker.basis.conj().T), p_int=3) \
+        .apply(kr.basis_X_ker.basis)
+    from daesemi.solver import _from_signal
+    ts = np.linspace(0.0, 2.0, 21)
+    good = _from_signal(nilpotent_pencil, x, ts, f)
+    assert np.isinf(good.values[0]).sum() == 1
+    assert good.classification == "mild"
+    wrong = _from_signal(nilpotent_pencil, x + Signal.constant([0.0, 1e-3]),
+                         ts, f)
+    assert wrong.mild_res > 1e-4
+    assert wrong.classification == "none"
