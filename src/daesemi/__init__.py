@@ -26,8 +26,7 @@ from .solver import (Trajectory, cross_check, residual, solve_full,
                      solve_homogeneous, solve_inhomogeneous_ran)
 from .subspaces import (DecompositionReport, DisjointnessFlags,
                         check_disjointness, hilbert_decomposition,
-                        intersection_dim, principal_angles,
-                        stabilized_sequences)
+                        intersection_dim, principal_angles)
 
 __version__ = "0.1.0"
 
@@ -43,6 +42,5 @@ __all__ = [
     "make_transport", "make_weierstrass", "principal_angles", "residual",
     "resolvent", "restrict_to_kernel", "right_resolvent",
     "solve_full", "solve_homogeneous", "solve_inhomogeneous_ran",
-    "solve_kernel_inhomogeneity", "stabilized_sequences",
-    "verify_properties",
+    "solve_kernel_inhomogeneity", "verify_properties",
 ]

@@ -92,16 +92,21 @@ class SubspaceBasis:
         return self.basis @ self.basis.conj().T
 
 
-def null_space(M: np.ndarray, scale: float | None = None) -> SubspaceBasis:
-    """Orthonormal kernel basis.
+def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
+              scale: float | None = None) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Orthonormal (range, kernel) bases of M from one SVD.
 
-    ``scale`` sets an absolute floor for the rank cutoff; without it a
-    matrix that is entirely round-off noise would count as full rank.
+    The rank counts s > max(s_0, scale) * rcond; the absolute floor
+    ``scale`` keeps a matrix of pure round-off noise from counting as full
+    rank.  Only a wide M needs the full V for its kernel.
     """
-    u, s, vh = np.linalg.svd(M)
-    tol = max(s[0] if s.size else 0.0, scale or 0.0) * RANK_RCOND
-    rank = int(np.sum(s > tol))
-    return SubspaceBasis(vh[rank:].conj().T, M.shape[1])
+    m, n = M.shape
+    if M.size == 0:
+        return (SubspaceBasis(np.zeros((m, 0), dtype=complex), m),
+                SubspaceBasis(np.eye(n, dtype=complex), n))
+    u, s, vh = np.linalg.svd(M, full_matrices=m < n)
+    rank = int(np.sum(s > max(s[0], scale or 0.0) * rcond))
+    return SubspaceBasis(u[:, :rank], m), SubspaceBasis(vh[rank:].conj().T, n)
 
 
 def power_kernel(R: np.ndarray, k: int) -> SubspaceBasis:
@@ -109,8 +114,8 @@ def power_kernel(R: np.ndarray, k: int) -> SubspaceBasis:
 
     Powers of a nilpotent-like map may be pure round-off noise.
     """
-    return null_space(np.linalg.matrix_power(R, k),
-                      scale=np.linalg.norm(R, 2) ** k)
+    return svd_split(np.linalg.matrix_power(R, k),
+                     scale=np.linalg.norm(R, 2) ** k)[1]
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,7 @@ def chain_index(p: Pencil) -> tuple[int, list[Chain]]:
     each extension step is determined only up to ker E.
     """
     n = p.n_x
-    kernel = null_space(p.E).basis
+    kernel = svd_split(p.E)[1].basis
     if kernel.shape[1] == 0:
         return 0, []
     scale = max(p.scale, 1.0)
@@ -353,14 +358,13 @@ def chain_index(p: Pencil) -> tuple[int, list[Chain]]:
         d = G.shape[1]
         # solve  E y = A x_j  jointly: null space of [A tips | -E]
         M = np.hstack([p.A @ tips, -p.E]) / scale
-        ns = null_space(M).basis
+        ns = svd_split(M)[1].basis
         if ns.size == 0:
             break
         c, y = ns[:d, :], ns[d:, :]
         ext = np.vstack([G @ c, y])
         # discard solutions whose chain head (hence whole chain) vanishes
-        head_rank = np.linalg.matrix_rank(ext[:n, :], tol=1e-8)
-        if head_rank == 0:
+        if np.linalg.norm(ext[:n, :], 2) <= 1e-8:
             break
         G = ext
         best = G

@@ -267,8 +267,8 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     x0 = np.asarray(x0, dtype=complex)
     rep = hilbert_decomposition(p, mu)
     mu = rep.mu
-    B, slices = block_left_resolvent(rep, p, mu)
-    U = decomposition_basis(rep, side="Z")
+    B, slices = block_left_resolvent(rep)
+    U = decomposition_basis(rep)
     n_blocks = len(slices)
     fm = f.modulate(-mu)
     g = [fm.apply(U[:, sl].conj().T) for sl in slices]

@@ -1,27 +1,51 @@
 """Stabilized range chains, decomposition levels and block structure."""
 
+import json
+
 import numpy as np
 import pytest
 
-from daesemi import (Pencil, SubspaceBasis, check_disjointness,
-                     hilbert_decomposition, intersection_dim, make_transport,
-                     make_weierstrass, principal_angles, stabilized_sequences)
+from daesemi import (Pencil, SubspaceBasis, build_evaluator,
+                     check_disjointness, hilbert_decomposition,
+                     intersection_dim, make_transport, make_weierstrass,
+                     principal_angles, solve_homogeneous,
+                     verify_properties)
+from daesemi import pencil as pencil_module
+from daesemi import subspaces
+from daesemi.cli import main
+from daesemi.fileio import write_pencil
+from daesemi.pencil import svd_split
 from daesemi.subspaces import (block_left_resolvent, complement_in,
-                               decomposition_basis, null_space, orth_range)
+                               decomposition_basis)
 
 from conftest import nilpotent_of_index
 
 MU = 2.0
 
+_rng = np.random.default_rng(0)
+SPLIT_CASES = {
+    # (matrix, rank)
+    "square": (_rng.normal(size=(5, 5)) @ np.diag([1, 1, 1, 0, 0])
+               @ _rng.normal(size=(5, 5)), 3),
+    # a thin SVD of a wide matrix keeps only 3 of the 5 right vectors
+    "wide": (_rng.normal(size=(3, 5)), 3),
+    "tall": (_rng.normal(size=(5, 3)), 3),
+    "zero": (np.zeros((4, 4)), 0),
+    "no-columns": (np.zeros((4, 0)), 0),
+}
 
-def test_orth_and_null_are_complementary():
-    rng = np.random.default_rng(0)
-    M = rng.normal(size=(5, 5)) @ np.diag([1, 1, 1, 0, 0]) \
-        @ rng.normal(size=(5, 5))
-    ran = orth_range(M)
-    ker = null_space(M)
-    assert ran.rank == 3 and ker.rank == 2
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_orth_and_null_are_complementary(case):
+    M, rank = SPLIT_CASES[case]
+    ran, ker = svd_split(M)
+    assert ran.rank == rank and ran.ambient_dim == M.shape[0]
+    assert ran.rank + ker.rank == M.shape[1] == ker.ambient_dim
     assert np.allclose(M @ ker.basis, 0, atol=1e-10)
+    assert np.allclose(ran.basis.conj().T @ ran.basis, np.eye(rank),
+                       atol=1e-12)
+    assert np.allclose(ker.basis.conj().T @ ker.basis, np.eye(ker.rank),
+                       atol=1e-12)
 
 
 def test_principal_angles_orthogonal_planes():
@@ -52,7 +76,7 @@ def test_complement_in():
 
 
 def test_chains_diag(diag_pencil):
-    rep = stabilized_sequences(diag_pencil, MU)
+    rep = hilbert_decomposition(diag_pencil, MU)
     assert rep.X_ran.rank == 2 and rep.X_ker.rank == 0
     assert rep.stagnation_k == 0
 
@@ -79,13 +103,13 @@ def test_decomposition_mixed():
 def test_block_left_resolvent_structure():
     p, _ = make_weierstrass(2, 3, 3, seed=2)
     rep = hilbert_decomposition(p, MU)
-    B, slices = block_left_resolvent(rep, p, MU)
+    B, slices = block_left_resolvent(rep)
     assert len(slices) == rep.stagnation_k + 1
     # rows below the first block row vanish on and left of the diagonal
     for i in range(1, len(slices)):
         for j in range(i + 1):
             assert np.linalg.norm(B[slices[i], slices[j]]) < 1e-8
-    U = decomposition_basis(rep, side="Z")
+    U = decomposition_basis(rep)
     assert np.allclose(U.conj().T @ U, np.eye(p.n_z), atol=1e-10)
 
 
@@ -105,3 +129,37 @@ def test_transport_structure():
     angz = principal_angles(rep.Z_ran, SubspaceBasis(refz, n + m + 2))
     assert rep.Z_ran.rank == n
     assert angz.max() < 1e-8
+
+
+def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
+                                                 capsys):
+    """The contour solve and the identity suite read neither the stabilized
+    kernels nor the levels, so they build neither; analyze reports both."""
+    calls = {"complement_in": 0, "power_kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(subspaces, "complement_in",
+                        counted("complement_in", subspaces.complement_in))
+    power_kernel = counted("power_kernel", pencil_module.power_kernel)
+    for module in (pencil_module, subspaces):
+        monkeypatch.setattr(module, "power_kernel", power_kernel)
+    p, orc = make_weierstrass(3, 3, 2, seed=3)
+    x0 = orc.consistent_x0(np.arange(1.0, 7.0))
+    solve_homogeneous(p, x0, [0.0, 0.5, 1.0], method="contour")
+    verify_properties(build_evaluator(p))
+    assert calls == {"complement_in": 0, "power_kernel": 0}
+
+    path = str(tmp_path / "w.json")
+    write_pencil(path, p)
+    assert main(["analyze", path]) == 0
+    dec = json.loads(capsys.readouterr().out)["decomposition"]
+    assert (dec["stagnation_k"], dec["dim_X_ran"], dec["dim_Z_ran"],
+            dec["dim_X_ker"], dec["dim_Z_ker"]) == (2, 3, 3, 3, 3)
+    assert dec["levels_X"] == dec["levels_Z"] == [2, 1]
+    # one kernel per side, one complement per level and side
+    assert calls == {"complement_in": 4, "power_kernel": 2}
