@@ -32,13 +32,6 @@ def _seed() -> int:
     return int(os.environ.get("DAESEMI_SEED", DEFAULT_SEED))
 
 
-def _parse_complex(text: str) -> complex:
-    if "," in text:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    return complex(text.replace("i", "j"))
-
-
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([complex(part.replace("i", "j"))
                      for part in text.split(",")], dtype=complex)
@@ -55,15 +48,14 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     p = read_pencil(args.pencil)
     idx = estimate_resolvent_index(p)
-    rep = hilbert_decomposition(p, _parse_complex(args.mu) if args.mu else None)
-    mu = rep.mu
+    rep = hilbert_decomposition(p)
     flags = check_disjointness(rep, p)
     q, _ = chain_index(p)
     out = RunReport(
         command="analyze", pencil_name=p.name, seed=_seed(),
         index={**_index_dict(idx), "chain_index": q},
         decomposition={
-            "mu": [mu.real, mu.imag] if isinstance(mu, complex) else [mu, 0.0],
+            "mu": [rep.mu, 0.0],  # the shift hilbert_decomposition picks is real
             "stagnation_k": rep.stagnation_k,
             "dim_X_ran": rep.X_ran.rank, "dim_Z_ran": rep.Z_ran.rank,
             "dim_X_ker": rep.X_ker.rank, "dim_Z_ker": rep.Z_ker.rank,
@@ -89,6 +81,8 @@ def _cmd_solve(args) -> int:
         raise DimensionMismatch(f"x0 has {x0.size} entries, pencil {p.n_x}")
     if not (np.all(np.isfinite(x0)) and np.isfinite([args.t0, args.t1]).all()):
         raise BadShape("--x0, --t0 and --t1 must be finite")
+    if args.steps < 1:
+        raise BadShape("--steps must be at least 1")
     f = read_signal(args.signal) if args.signal else None
     if f is not None and f.shape != (p.n_z,):
         raise DimensionMismatch(f"signal shape {f.shape}, pencil Z-dim {p.n_z}")
@@ -222,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="index, decomposition, disjointness")
     a.add_argument("pencil")
-    a.add_argument("--mu", default=None, help="decomposition point RE,IM")
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("solve", help="solve an initial value problem")

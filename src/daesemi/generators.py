@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadShape, DaesemiError, GenerationFailed
 from .pencil import Pencil
@@ -145,18 +146,10 @@ def make_weierstrass(n_s: int, n_n: int, k: int, seed=0,
     else:
         T = _well_conditioned(rng, n)
         S = _well_conditioned(rng, n)
-    E = T @ _blockdiag(np.eye(n_s), N) @ S
-    A = T @ _blockdiag(J, np.eye(n_n)) @ S
+    E = T @ scipy.linalg.block_diag(np.eye(n_s), N) @ S
+    A = T @ scipy.linalg.block_diag(J, np.eye(n_n)) @ S
     pen = Pencil(E, A, omega_hint=0.0, name=f"weierstrass({n_s},{n_n},{k})")
     return pen, WeierstrassOracle(T=T, S=S, J=J, N=N, k=k)
-
-
-def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]),
-                   dtype=complex)
-    out[:A.shape[0], :A.shape[1]] = A
-    out[A.shape[0]:, A.shape[1]:] = B
-    return out
 
 
 def make_hamiltonian(n: int, rank_E: int, seed=0) -> Pencil:

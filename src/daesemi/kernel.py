@@ -28,7 +28,6 @@ class KernelRestriction:
     basis_X_ker: SubspaceBasis
     basis_Z_ker: SubspaceBasis
     A_ker: np.ndarray
-    E_ker: np.ndarray
     A_ker_inv: np.ndarray
     N: np.ndarray
     nilpotency_degree: int
@@ -61,20 +60,19 @@ def restrict_to_kernel(p: Pencil, mu: complex, p_int: int) -> KernelRestriction:
             f"kernel dimensions differ: {Vx.rank} vs {Vz.rank}")
     if Vx.rank == 0:
         z = np.zeros((0, 0), dtype=complex)
-        return KernelRestriction(Vx, Vz, z, z, z, z, 0)
+        return KernelRestriction(Vx, Vz, z, z, z, 0)
     # A must map X_ker into Z_ker; escaping mass signals an invalid p_int
     AVx = p.A @ Vx.basis
     leak = np.linalg.norm(AVx - Vz.basis @ (Vz.basis.conj().T @ AVx), 2)
     if leak > 1e-8 * max(np.linalg.norm(p.A, 2), 1.0):
         raise AKerSingular(f"A does not preserve the kernel pair (leak {leak:.2e})")
     A_ker = Vz.basis.conj().T @ AVx
-    E_ker = Vz.basis.conj().T @ p.E @ Vx.basis
     if np.linalg.cond(A_ker) > COND_CAP:
         raise AKerSingular("A restricted to the kernel is numerically singular")
     A_ker_inv = np.linalg.solve(A_ker, np.eye(A_ker.shape[0], dtype=complex))
-    N = E_ker @ A_ker_inv
+    N = Vz.basis.conj().T @ p.E @ Vx.basis @ A_ker_inv
     degree = _nilpotency_degree(N, p_int)
-    return KernelRestriction(Vx, Vz, A_ker, E_ker, A_ker_inv, N, degree)
+    return KernelRestriction(Vx, Vz, A_ker, A_ker_inv, N, degree)
 
 
 def solve_kernel_inhomogeneity(k: KernelRestriction, f: Signal,

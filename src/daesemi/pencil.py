@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -58,6 +59,11 @@ class Pencil:
     @property
     def scale(self) -> float:
         return float(np.linalg.norm(self.E, 2) + np.linalg.norm(self.A, 2))
+
+    @cached_property
+    def ker_E(self) -> SubspaceBasis:
+        """Orthonormal basis of ker E, from one SVD on first read."""
+        return svd_split(self.E)[1]
 
 
 def default_shift(p: Pencil) -> float:
@@ -134,10 +140,6 @@ class Chain:
     """x_1 in ker E, E x_{i+1} = A x_i."""
 
     vectors: tuple[np.ndarray, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vectors)
 
 
 def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray:
@@ -345,7 +347,7 @@ def chain_index(p: Pencil) -> tuple[int, list[Chain]]:
     each extension step is determined only up to ker E.
     """
     n = p.n_x
-    kernel = svd_split(p.E)[1].basis
+    kernel = p.ker_E.basis
     if kernel.shape[1] == 0:
         return 0, []
     scale = max(p.scale, 1.0)

@@ -57,13 +57,10 @@ class Trajectory:
     derivatives: np.ndarray | None = None
     contours: tuple | None = None
 
-    @property
-    def residual_max(self) -> float:
-        return min(self.classical_res, self.mild_res)
-
 
 def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, float]:
-    """(classical, mild) max residuals on the trajectory's grid.
+    """(classical, mild) max residuals on the trajectory's grid; 0 on an
+    empty grid.
 
     Closed-form trajectories are differentiated and integrated
     analytically.  Sampled ones take the classical residual
@@ -116,7 +113,7 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
     cum = np.concatenate([np.zeros((1, p.n_z)),
                           np.cumsum((rhs[1:] + rhs[:-1]) / 2.0
                                     * np.diff(ts)[:, None], axis=0)])
-    mild = float(np.max(np.abs(Ex - Ex[0] - cum)))
+    mild = float(np.max(np.abs(Ex - Ex[:1] - cum), initial=0.0))
     return classical / scale, mild / scale
 
 
@@ -160,7 +157,6 @@ def _project_initial(ev: SemigroupEvaluator, x0, strict: bool) -> tuple:
 
 
 def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
-                      mu: complex | None = None,
                       evaluator: SemigroupEvaluator | None = None,
                       strict: bool = True) -> Trajectory:
     """d/dt(E x) = A x with x(0) = x0 projected onto the range space.
@@ -178,12 +174,13 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     back-substitution with the evaluator's QZ form solves them all, gated
     node by node by a batched 1-norm condition estimate
     (``QZForm.solve_at``); a long time grid is sampled in blocks of about
-    SWEEP_ENTRIES node entries.
+    SWEEP_ENTRIES node entries.  The evaluator, built when none is given,
+    takes the shift and p from its decomposition.
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
     backend = "closed_form" if method == "decomp" else "contour"
-    ev = evaluator or build_evaluator(p, mu=mu, backend=backend)
+    ev = evaluator or build_evaluator(p, backend=backend)
     c, dist = _project_initial(ev, x0, strict)
     cons = {"projection_distance": dist}
     if method == "decomp":
@@ -227,10 +224,11 @@ def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
 
 
 def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
-                            mu: complex | None = None,
                             evaluator: SemigroupEvaluator | None = None) -> Trajectory:
-    """f valued in Z_ran: convolve with S_r, then differentiate p times."""
-    ev = evaluator or build_evaluator(p, mu=mu, backend="closed_form")
+    """f valued in Z_ran: convolve with S_r, then differentiate p times.
+
+    The shift and p are the ones the evaluator's decomposition picked."""
+    ev = evaluator or build_evaluator(p)
     require_closed_form(ev, "the convolution route")
     Pz = ev.decomposition.Z_ran.projector()
     off = float(np.max(np.linalg.norm(f.coeffs.T - Pz @ f.coeffs.T, axis=0),
@@ -249,8 +247,7 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
     return _from_signal(p, sig, ts, f, x0=ev.V @ c0, consistency=cons)
 
 
-def solve_full(p: Pencil, x0, f: Signal, ts,
-               mu: complex | None = None) -> Trajectory:
+def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:
     """f anywhere in Z: block back-substitution of the left resolvent.
 
     The substitution w = (mu E - A) e^{-mu t} x turns the DAE into
@@ -260,12 +257,13 @@ def solve_full(p: Pencil, x0, f: Signal, ts,
     block d/dt(R00 zeta) = -zeta + h on Z_ran has R00 invertible, so it is
     solved directly by variation of constants with the propagator
     exp(-R00^{-1} t).  Transforming back multiplies by
-    e^{mu t}(mu E - A)^{-1}.
+    e^{mu t}(mu E - A)^{-1}.  The shift mu is the one
+    ``hilbert_decomposition`` picks.
     """
     if not p.is_square:
         raise DecompositionUnavailable("full solve needs a square pencil")
     x0 = np.asarray(x0, dtype=complex)
-    rep = hilbert_decomposition(p, mu)
+    rep = hilbert_decomposition(p)
     mu = rep.mu
     B, slices = block_left_resolvent(rep)
     U = decomposition_basis(rep)

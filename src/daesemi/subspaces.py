@@ -177,15 +177,22 @@ class DisjointnessFlags:
     min_angle_Xker: float
 
 
-def check_disjointness(rep: DecompositionReport, p: Pencil,
-                       angle_tol: float = ANGLE_TOL) -> DisjointnessFlags:
-    ang_E = principal_angles(rep.X_ran, svd_split(p.E)[1])
+def angle_to_kerE(X_ran: SubspaceBasis, p: Pencil) -> float:
+    """Smallest principal angle between X_ran and ker E (pi/2 if trivial)."""
+    ang = principal_angles(X_ran, p.ker_E)
+    return float(ang[0]) if ang.size else np.pi / 2
+
+
+def check_disjointness(rep: DecompositionReport, p: Pencil) -> DisjointnessFlags:
+    """Disjointness of X_ran from ker E and of the ranges from the kernels
+    at principal angle ANGLE_TOL, for the shift and power ``rep`` picked."""
+    angle_E = angle_to_kerE(rep.X_ran, p)
     ang_K = principal_angles(rep.X_ran, rep.X_ker)
     return DisjointnessFlags(
-        disjoint_ranE=bool(ang_E.size == 0 or ang_E[0] > angle_tol),
-        disjoint_kernel=bool(ang_K.size == 0 or ang_K[0] > angle_tol),
-        dim_Xran_cap_Xker=int(np.sum(ang_K < angle_tol)),
-        dim_Zran_cap_Zker=intersection_dim(rep.Z_ran, rep.Z_ker, angle_tol),
-        min_angle_kerE=float(ang_E[0]) if ang_E.size else np.pi / 2,
+        disjoint_ranE=angle_E > ANGLE_TOL,
+        disjoint_kernel=bool(ang_K.size == 0 or ang_K[0] > ANGLE_TOL),
+        dim_Xran_cap_Xker=int(np.sum(ang_K < ANGLE_TOL)),
+        dim_Zran_cap_Zker=intersection_dim(rep.Z_ran, rep.Z_ker),
+        min_angle_kerE=angle_E,
         min_angle_Xker=float(ang_K[0]) if ang_K.size else np.pi / 2,
     )

@@ -90,8 +90,8 @@ def test_criterion_2_identity_suite(capsys):
     pencils += [make_hamiltonian(6, 4, seed=1), make_hamiltonian(5, 3, seed=3)]
     worst = 0.0
     for pen in pencils:
-        rep = verify_properties(build_evaluator(pen),
-                                time_grid=(0.1, 0.5, 1.0, 2.0), tol=1e-6)
+        rep = verify_properties(build_evaluator(pen))
+        assert rep.grid == (0.1, 0.5, 1.0, 2.0) and rep.tol == 1e-6
         worst = max(worst, max(rep.residuals.values()))
         assert rep.all_passed, f"{pen.name}: {rep.residuals}"
     elapsed = time.perf_counter() - start

@@ -147,6 +147,29 @@ def test_cli_solve_rejects_nonfinite_arguments(pencil_file, capsys, args):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("method", ["contour", "decomp"])
+def test_cli_solve_rejects_zero_steps(pencil_file, capsys, method):
+    assert main(["solve", pencil_file, "--x0", "1,0", "--steps", "0",
+                 "--method", method]) == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+def test_cli_analyze_takes_one_svd_of_E(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "w.json"
+    write_pencil(path, make_weierstrass(8, 8, 2)[0])
+    E = read_pencil(path).E
+    svd, calls = np.linalg.svd, []
+
+    def counted_svd(M, *args, **kwargs):
+        calls.append(M.shape == E.shape and np.array_equal(M, E))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert sum(calls) == 1
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

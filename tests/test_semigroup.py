@@ -149,6 +149,33 @@ def test_extracted_semigroup_properties():
     assert errs[-1] < 1e-2 and errs[-1] < errs[0]
 
 
+def test_cp_semigroup_decides_disjointness_once(monkeypatch):
+    """Only the first cp_semigroup call may take an SVD, for ker E."""
+    ev = build_evaluator(make_hamiltonian(8, 4))
+    svd, calls = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    cp_semigroup(ev, 0.3)
+    first = len(calls)
+    cp_semigroup(ev, 0.6)
+    cp_semigroup(ev, 1.0)
+    assert first <= 1 and len(calls) == first
+
+
+def test_evaluator_attributes_read_by_the_benchmark():
+    """perfbench's tracer reads S_coord after every build_evaluator, and its
+    check test assigns ev.p."""
+    ev = build_evaluator(make_transport(16, 16), backend="contour")
+    assert getattr(ev, "S_coord", None) is None
+    p = ev.p
+    ev.p += 1
+    assert ev.p == p + 1
+
+
 def test_f_norm_dominates_trajectory():
     p = make_hamiltonian(5, 3, seed=11)
     ev = build_evaluator(p)

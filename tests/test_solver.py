@@ -179,6 +179,13 @@ def test_default_shift_moves_off_a_finite_eigenvalue(method):
         assert traj.classification == "classical"
 
 
+@pytest.mark.parametrize("method", ["decomp", "contour"])
+def test_homogeneous_on_an_empty_grid(diag_pencil, method):
+    traj = solve_homogeneous(diag_pencil, [1.0, 0.0], [], method=method)
+    assert traj.values.shape == (0, 2)
+    assert (traj.classical_res, traj.mild_res) == (0.0, 0.0)
+
+
 def test_homogeneous_rejects_inadmissible_x0():
     p, _ = make_weierstrass(1, 2, 2, seed=32)
     bad = build_evaluator(p).decomposition.X_ker.basis[:, 0]
@@ -269,10 +276,10 @@ def test_default_path_at_high_index(shape, seed):
 
 def test_full_route_with_finite_eigenvalue_at_twice_the_shift():
     # the leading block is an ODE in its own right; it needs no second shift,
-    # so an eigenvalue at mu + 2 (here 4 with mu = 2) must not matter
+    # so an eigenvalue at mu + 2 (here 4 with the default mu = 2) must not matter
     p = Pencil(np.diag([1.0, 0.0]), np.diag([4.0, 1.0]))
     ts = np.linspace(0.0, 1.0, 11)
-    traj = solve_full(p, [1.0, -1.0], Signal.constant([1.0, 1.0]), ts, mu=2.0)
+    traj = solve_full(p, [1.0, -1.0], Signal.constant([1.0, 1.0]), ts)
     exact = np.column_stack([1.25 * np.exp(4.0 * ts) - 0.25, -np.ones_like(ts)])
     assert np.max(np.abs(traj.values - exact)) < 1e-10
     assert traj.classification == "classical"
