@@ -56,8 +56,9 @@ class Pencil:
     def is_square(self) -> bool:
         return self.n_x == self.n_z
 
-    @property
+    @cached_property
     def scale(self) -> float:
+        """||E||_2 + ||A||_2, from two SVDs on first read."""
         return float(np.linalg.norm(self.E, 2) + np.linalg.norm(self.A, 2))
 
     @cached_property

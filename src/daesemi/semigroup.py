@@ -69,7 +69,6 @@ class SemigroupEvaluator:
     """Configured evaluator of S_r(t) (and lazily S_l, S_r^(p))."""
 
     pencil: Pencil
-    mu: complex
     p: int
     backend: str
     decomposition: DecompositionReport
@@ -92,7 +91,7 @@ class SemigroupEvaluator:
     def _S_left(self) -> Signal:
         """S_l on Z_ran coordinates, from A_L = mu I - (restricted R_l(mu))^{-1}."""
         dec = self.decomposition
-        A_L = range_generator(dec.R_l, dec.Z_ran.basis, self.mu)
+        A_L = range_generator(dec.R_l, dec.Z_ran.basis, dec.mu)
         return propagator_signal(A_L).antiderivative(self.p)
 
     @cached_property
@@ -138,14 +137,13 @@ def build_evaluator(p: Pencil,
         raise ValueError(f"unknown backend {backend!r}")
     omega = p.omega_hint if p.omega_hint is not None else 0.0
     decomposition = hilbert_decomposition(p)
-    mu = decomposition.mu
     p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
     r = V.shape[1]
     A_R = prop = S_coord = None
     if r > 0:
         try:
-            A_R = range_generator(decomposition.R_r, V, mu)
+            A_R = range_generator(decomposition.R_r, V, decomposition.mu)
         except ClosedFormUnavailable:
             if backend == "closed_form":
                 raise
@@ -155,7 +153,7 @@ def build_evaluator(p: Pencil,
     spectrum = None if A_R is None else np.linalg.eigvals(A_R)
     if spectrum is not None:
         omega = max(float(np.max(spectrum.real)), omega)
-    return SemigroupEvaluator(pencil=p, mu=mu, p=p_int, backend=backend,
+    return SemigroupEvaluator(pencil=p, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega,
                               V=V, A_R=A_R, prop=prop,
                               S_coord=S_coord, spectrum=spectrum)
@@ -269,9 +267,10 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     integral in (f) uses 40-node Gauss-Legendre quadrature (the integrand
     is entire in the integration variable).  Signals are evaluated on
     whole grids: S_r, its derivative, its antiderivative and S_l once each
-    on the grid, and S_r at all 40 nodes of one t, or of one (t, s) pair,
-    per call.  (b) takes the left coordinates of all columns of E V in one
-    projection.
+    on the grid.  (f) contracts the quadrature weights with S_r's term
+    basis at the nodes first, so all (t, s) pairs take one product with
+    S_r's coefficients.  (b) takes the left coordinates of all columns of
+    E V in one projection.
     """
     require_closed_form(ev, "identity verification")
     if ev.rank == 0:
@@ -280,7 +279,7 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     S = ev.S_coord
     W = ev.decomposition.Z_ran.basis
     Rr = ev.decomposition.R_r
-    scale = max(np.linalg.norm(E, 2) + np.linalg.norm(A, 2), 1.0)
+    scale = max(ev.pencil.scale, 1.0)
     ts = np.asarray(IDENTITY_GRID, dtype=float)
 
     def mnorm(M):
@@ -303,17 +302,13 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     # (d) integral identity (analytic antiderivative)
     res["d"] = mnorm(AV @ S.antiderivative()(ts)
                      - (EV @ St - tt ** p / math.factorial(p) * EV))
-    # (f) composition formula, quadrature in the inner variable
+    # (f) composition formula; quadrature weights meet S's coefficients once
     nodes, weights = np.polynomial.legendre.leggauss(40)
-    diffs = []
-    for i, t in enumerate(ts):
-        rad = t / 2.0
-        taus = rad + rad * nodes
-        S_tau = S(taus)
-        for j, s in enumerate(ts):
-            acc = (np.tensordot(weights * (t - taus) ** (p - 1), S(taus + s), 1)
-                   - np.tensordot(weights * (t + s - taus) ** (p - 1), S_tau, 1))
-            diffs.append(St[i] @ St[j] - acc * rad / math.factorial(p - 1))
-    res["f"] = mnorm(np.array(diffs))
+    taus, ss = tt / 2.0 * (1.0 + nodes), ts[:, None]    # (t, 1, node), (s, 1)
+    w = weights * tt / (2.0 * math.factorial(p - 1))
+    terms = ((w * (tt - taus) ** (p - 1))[..., None] * S._basis(taus + ss)
+             - (w * (tt + ss - taus) ** (p - 1))[..., None] * S._basis(taus))
+    acc = np.tensordot(terms.sum(axis=2), S.coeffs, 1)   # (t, s, r, r)
+    res["f"] = mnorm(St[:, None] @ St[None, :] - acc)
     res = {k: v / scale for k, v in res.items()}
     return PropertyReport(res)

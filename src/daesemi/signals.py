@@ -122,23 +122,25 @@ class Signal:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "Signal":
-        sig = self
-        for _ in range(order):
-            k = np.arange(len(sig.powers))
-            sig = _combine(sig.coeffs, np.column_stack([
-                np.r_[k, k], np.r_[sig.rates, sig.powers],
-                np.r_[sig.powers, sig.powers - 1], np.r_[sig.rates, sig.rates]]))
-        return sig
+        """The order-th derivative, exact; steps composed as in ``_repeat``."""
+        return self._repeat(_derivative_rows, order)
 
     def antiderivative(self, order: int = 1) -> "Signal":
-        """k-fold integral from 0, exact."""
+        """k-fold integral from 0, exact; steps composed as in ``_repeat``."""
+        return self._repeat(_antiderivative_rows, order)
+
+    def _repeat(self, rows_of, order: int) -> "Signal":
+        """``order`` steps of the term map ``rows_of``, run on the K x K
+        identity when it is the smaller stack, then applied in one product."""
+        K = len(self.powers)
+        one_pass = order > 1 and K * K < self.coeffs.size
         sig = self
+        if one_pass:
+            sig = Signal(np.eye(K, dtype=complex), self.powers, self.rates)
         for _ in range(order):
-            sig = _combine(sig.coeffs, [
-                (k, coef, m, a)
-                for k, (q, c) in enumerate(zip(sig.powers, sig.rates))
-                for coef, m, a in _int_power_exp(q, c)])
-        return sig
+            sig = _combine(sig.coeffs, rows_of(sig.powers, sig.rates))
+        return _nonzero(np.tensordot(sig.coeffs, self.coeffs, 1), sig.powers,
+                        sig.rates) if one_pass else sig
 
     def convolve(self, other: "Signal") -> "Signal":
         """(self * other)(t) = int_0^t self(t - tau) @ other(tau) d tau.
@@ -185,9 +187,7 @@ class Signal:
         A term that is infinite at t (a negative power at t = 0) makes inf
         exactly the components in which its coefficient is nonzero.
         """
-        tt = np.asarray(t, dtype=float)[..., np.newaxis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            basis = tt ** self.powers * np.exp(tt * self.rates)
+        basis = self._basis(t)
         blown = np.isinf(basis)
         if not blown.any():
             return np.tensordot(basis, self.coeffs, axes=1)
@@ -196,6 +196,12 @@ class Signal:
                            (self.coeffs != 0).astype(float), axes=1)
         out[hit > 0] = np.inf
         return out
+
+    def _basis(self, t) -> np.ndarray:
+        """The terms t**power * exp(rate * t), shape t.shape + (K,)."""
+        tt = np.asarray(t, dtype=float)[..., np.newaxis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return tt ** self.powers * np.exp(tt * self.rates)
 
     def value_at_zero(self):
         """f(0); terms with negative power make it infinite."""
@@ -271,6 +277,19 @@ def _combine(stack: np.ndarray, rows) -> Signal:
         stack = np.tensordot(W, stack, axes=1)   # W = I would only copy it
     first = order[opens]
     return _nonzero(stack, powers[first], rates[first])
+
+
+def _derivative_rows(powers, rates) -> np.ndarray:
+    """``_combine`` rows of d/dt: t^m e^{at} -> (a t^m + m t^{m-1}) e^{at}."""
+    k = np.arange(len(powers))
+    return np.column_stack([np.r_[k, k], np.r_[rates, powers],
+                            np.r_[powers, powers - 1], np.r_[rates, rates]])
+
+
+def _antiderivative_rows(powers, rates) -> list:
+    """``_combine`` rows of the integral from 0 of every term."""
+    return [(k, coef, m, a) for k, (q, c) in enumerate(zip(powers, rates))
+            for coef, m, a in _int_power_exp(q, c)]
 
 
 def _nonzero(coeffs, powers, rates) -> Signal:

@@ -1,5 +1,8 @@
 """Integrated-semigroup construction, Laplace representation, identity suite."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,28 @@ def test_identity_suite(maker):
     ev = build_evaluator(maker())
     rep = verify_properties(ev)
     assert rep.all_passed, rep.residuals
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.01])
+def test_composition_residual_against_a_per_node_loop(factor):
+    """(f) contracts the quadrature before the coefficients: its residual is
+    the one of S_r evaluated node by node, and S_r scaled by 1.01 fails."""
+    ev = build_evaluator(make_weierstrass(16, 8, 2, seed=3)[0])
+    assert ev.rank == 16
+    ev = dataclasses.replace(ev, S_coord=ev.S_coord.scale(factor))
+    S, p = ev.S_coord, ev.p
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    worst = 0.0
+    for t in semigroup.IDENTITY_GRID:
+        for s in semigroup.IDENTITY_GRID:
+            acc = sum(w * ((t - tau) ** (p - 1) * S(tau + s)
+                           - (t + s - tau) ** (p - 1) * S(tau))
+                      for w, tau in zip(weights, t / 2 * (1 + nodes)))
+            diff = S(t) @ S(s) - acc * t / 2 / math.factorial(p - 1)
+            worst = max(worst, np.linalg.norm(diff, 2))
+    got = verify_properties(ev).residuals["f"]
+    assert abs(got - worst / max(ev.pencil.scale, 1.0)) <= 1e-12
+    assert (got > semigroup.IDENTITY_TOL) == (factor != 1.0)
 
 
 def test_identity_suite_trivial_on_pure_nilpotent():

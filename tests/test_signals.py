@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from daesemi import Signal
 from daesemi.errors import DimensionMismatch, SmoothnessInsufficient
+from daesemi.signals import _small_rate_cutoff
 
 
 def _rand_signal(rng, dim=2, n_terms=3, max_power=3):
@@ -67,6 +68,37 @@ def test_antiderivative_property(p1, p2, re, im):
     h = 1e-5
     fd = (F(ts + h) - F(ts - h)) / (2 * h)
     assert np.allclose(fd, sig(ts), atol=1e-5 * (1 + np.abs(sig(ts)).max()))
+
+
+# rate 0, rates below every _small_rate_cutoff (the series branch), and
+# rates of order one (the closed-form recursion)
+_RATES = (0.0, 5e-7, -4e-7j, 0.7, -0.9 + 1.3j, 1.5j, -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.sampled_from(_RATES)), min_size=1, max_size=7),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_one_pass_calculus_equals_single_steps(keys, k, seed):
+    """derivative(k) and antiderivative(k) of a matrix signal, composed on
+    the identity stack, against k single steps on the coefficients."""
+    assert max(abs(a) for a in _RATES if abs(a) < 0.5) < _small_rate_cutoff(0)
+    rng = np.random.default_rng(seed)
+    sig = Signal.from_terms(   # the first key repeated exactly
+        [(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), m, a)
+         for m, a in keys + keys[:1]])
+    assert len(sig.powers) ** 2 < sig.coeffs.size   # takes the one pass
+    ts = np.linspace(0.0, 10.0, 41)
+    for name in ("derivative", "antiderivative"):
+        steps = sig
+        for _ in range(k):
+            steps = getattr(steps, name)()
+        one = getattr(sig, name)(k)
+        assert np.array_equal(one.powers, steps.powers)
+        assert np.array_equal(one.rates, steps.rates)
+        ref = steps(ts)
+        assert np.max(np.abs(one(ts) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_convolution_against_quadrature():

@@ -170,7 +170,7 @@ def test_default_shift_moves_off_a_finite_eigenvalue(method):
     ev = build_evaluator(p, backend="closed_form" if method == "decomp"
                          else "contour")
     assert (ev.p, ev.rank) == (2, 1)
-    assert ev.mu == pytest.approx(4.0) and ev.omega == pytest.approx(2.0)
+    assert ev.decomposition.mu == pytest.approx(4.0) and ev.omega == pytest.approx(2.0)
     ts = np.linspace(0.0, 1.0, 11)
     traj = solve_homogeneous(p, [1.0, 0.0], ts, method=method, evaluator=ev)
     exact = np.column_stack([np.exp(2.0 * ts), np.zeros_like(ts)])
