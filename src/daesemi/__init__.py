@@ -4,8 +4,8 @@ The package treats the equation d/dt(E x) = A x + f through the matrix
 pencil (E, A): resolvent-index estimation, Wong-type subspace
 decompositions, closed-form solution of the nilpotent kernel part,
 construction and verification of the p-times integrated semigroup, and
-contour-inversion / convolution / back-substitution solvers with residual
-certification.
+contour-inversion / convolution / quasi-Weierstrass-split solvers with
+residual certification.
 """
 
 from .errors import DaesemiError

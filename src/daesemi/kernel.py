@@ -4,10 +4,10 @@ On the stabilized kernels X_ker = ker R_r(mu)^p and Z_ker = ker R_l(mu)^p
 the operator A acts invertibly and N = E_ker A_ker^{-1} is nilpotent, so
 the algebraic part of the DAE is solved by a finite derivative sum.
 
-solve_full does the same algebra in its block back-substitution without
-calling this module.  The module is kept on purpose as the independent
-derivative-sum route: acceptance criterion 7 checks it on a worked
-instance, and the solver tests compare it with solve_full.
+``derivative_sum`` is that sum; solve_full applies it in the coordinates
+of its split X = X_ran + X_ker.  ``restrict_to_kernel`` builds the kernel
+pair, A_ker and N apart from that split, as the independent route that
+acceptance criterion 7 checks and the solver tests compare with solve_full.
 """
 
 from __future__ import annotations
@@ -75,6 +75,17 @@ def restrict_to_kernel(p: Pencil, mu: complex, p_int: int) -> KernelRestriction:
     return KernelRestriction(Vx, Vz, A_ker, A_ker_inv, N, degree)
 
 
+def derivative_sum(N: np.ndarray, g: Signal, terms: int) -> Signal:
+    """-sum_{i<terms} N^i g^(i), stepping the derivative once per order:
+    the unique solution of N x' = x + g when N^terms = 0."""
+    acc, gi, Ni = Signal.zero(g.shape), g, np.eye(len(N), dtype=complex)
+    for i in range(terms):
+        if i:
+            gi, Ni = gi.derivative(), Ni @ N
+        acc = acc - gi.apply(Ni)
+    return acc
+
+
 def solve_kernel_inhomogeneity(k: KernelRestriction, f: Signal,
                                p_int: int) -> Signal:
     """x(t) = -sum_{i=0}^{p} A_ker^{-1} N^i f^(i)(t) in kernel coordinates.
@@ -86,11 +97,4 @@ def solve_kernel_inhomogeneity(k: KernelRestriction, f: Signal,
     if len(f.shape) != 1 or f.shape[0] != k.dim:
         raise DimensionMismatch(
             f"signal shape {f.shape} vs kernel dimension {k.dim}")
-    if k.dim == 0:
-        return Signal.zero(0)
-    acc = Signal.zero(k.dim)
-    Ni = np.eye(k.dim, dtype=complex)
-    for i in range(p_int + 1):
-        acc = acc + f.derivative(i).apply(k.A_ker_inv @ Ni).scale(-1)
-        Ni = Ni @ k.N
-    return acc
+    return derivative_sum(k.N, f, p_int + 1).apply(k.A_ker_inv)

@@ -100,8 +100,9 @@ class SubspaceBasis:
 
 
 def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
-              scale: float | None = None) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Orthonormal (range, kernel) bases of M from one SVD.
+              scale: float | None = None
+              ) -> tuple[SubspaceBasis, SubspaceBasis, float]:
+    """Orthonormal (range, kernel) bases of M and ||M||_2, from one SVD.
 
     The rank counts s > max(s_0, scale) * rcond; the absolute floor
     ``scale`` keeps a matrix of pure round-off noise from counting as full
@@ -110,19 +111,28 @@ def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
     m, n = M.shape
     if M.size == 0:
         return (SubspaceBasis(np.zeros((m, 0), dtype=complex), m),
-                SubspaceBasis(np.eye(n, dtype=complex), n))
+                SubspaceBasis(np.eye(n, dtype=complex), n), 0.0)
     u, s, vh = np.linalg.svd(M, full_matrices=m < n)
     rank = int(np.sum(s > max(s[0], scale or 0.0) * rcond))
-    return SubspaceBasis(u[:, :rank], m), SubspaceBasis(vh[rank:].conj().T, n)
+    return (SubspaceBasis(u[:, :rank], m),
+            SubspaceBasis(vh[rank:].conj().T, n), float(s[0]))
 
 
 def power_kernel(R: np.ndarray, k: int) -> SubspaceBasis:
-    """ker R^k, with ||R||_2^k as the absolute rank floor.
-
-    Powers of a nilpotent-like map may be pure round-off noise.
+    """ker R^k by k preimage steps K_{j+1} = ker((I - P_{K_j}) R), each
+    with the rank floor ||R||_2 (one floor ||R||_2^k on R^k would swamp its
+    invertible part once ||R|| is large).  I - P_{K_j} = C C^H, with C the
+    range of the previous step's M^H; the first SVD gives ||R||_2.
     """
-    return svd_split(np.linalg.matrix_power(R, k),
-                     scale=np.linalg.norm(R, 2) ** k)[1]
+    if k == 0:
+        return SubspaceBasis(np.zeros((R.shape[1], 0), dtype=complex),
+                             R.shape[1])
+    M, floor = R, None
+    for _ in range(k - 1):
+        C, _, norm = svd_split(M.conj().T, scale=floor)
+        floor = norm if floor is None else floor
+        M = C.basis.conj().T @ R
+    return svd_split(M, scale=floor)[1]
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ class Signal:
         vec = np.asarray(vec, dtype=complex)
         return _nonzero(self.coeffs @ vec, self.powers, self.rates)
 
-    def modulate(self, rate: complex) -> "Signal":
-        """Multiply pointwise by exp(rate * t)."""
-        return Signal(self.coeffs, self.powers, self.rates + complex(rate))
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "Signal":

@@ -5,10 +5,10 @@ Four routes to x with d/dt(E x) = A x + f:
     on the range space by the extracted semigroup;
   * solve_inhomogeneous_ran: convolution with the integrated semigroup and
     p analytic derivatives, for f valued in Z_ran;
-  * solve_full: orthogonal block decomposition of the left resolvent,
-    back-substitution of the algebraic levels, the leading block solved
-    directly as an ODE with the propagator of -R00^{-1}, and exponential
-    back-transform — accepts f anywhere in Z;
+  * solve_full: the split X = X_ran + X_ker of the decomposition, in which
+    the pencil is diag(I, N), diag(J, I) (quasi-Weierstrass form): the
+    propagator of J on X_ran and a finite derivative sum on X_ker —
+    accepts f anywhere in Z;
   * the kernel formula (kernel module) for f valued in Z_ker.
 Every trajectory carries max residuals of the pointwise (classical) and
 integrated (mild) forms of the equation.
@@ -20,17 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DecompositionUnavailable, InconsistentInitialValue,
+from .errors import (BasisMismatch, ClosedFormUnavailable,
+                     DecompositionUnavailable, InconsistentInitialValue,
                      LiftFailed, SolverMismatch)
+from .kernel import derivative_sum
 from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
-from .pencil import Pencil, resolvent  # noqa: F401
+from .pencil import COND_CAP, Pencil, resolvent  # noqa: F401
 from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
-                        range_generator, require_closed_form, transform_sampler)
+                        require_closed_form, transform_sampler)
 from .signals import Signal
-from .subspaces import (block_left_resolvent, decomposition_basis,
-                        hilbert_decomposition)
+from .subspaces import hilbert_decomposition
 
 CONSISTENCY_TOL = 1e-6
 LIFT_TOL = 1e-8
@@ -248,68 +249,43 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
 
 
 def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:
-    """f anywhere in Z: block back-substitution of the left resolvent.
+    """f anywhere in Z, solved in the split X = X_ran + X_ker.
 
-    The substitution w = (mu E - A) e^{-mu t} x turns the DAE into
-    d/dt(R_l(mu) w) = -w + e^{-mu t} f; in the ordered decomposition basis
-    the resolvent is block upper triangular with zero lower rows, so the
-    algebraic levels resolve bottom-up by differentiation.  The leading
-    block d/dt(R00 zeta) = -zeta + h on Z_ran has R00 invertible, so it is
-    solved directly by variation of constants with the propagator
-    exp(-R00^{-1} t).  Transforming back multiplies by
-    e^{mu t}(mu E - A)^{-1}.  The shift mu is the one
-    ``hilbert_decomposition`` picks.
+    On a regular pencil X_ran and X_ker are Wong's limits V* and W*, so for
+    their orthonormal bases V, K, T = [V | K] and S = [E V | A K],
+    S^{-1} E T = diag(I, N) and S^{-1} A T = diag(J, I) with N nilpotent
+    (quasi-Weierstrass form; Berger, Ilchmann & Trenn, LAA 436 (2012)).
+    From one inverse of S: xi = exp(tJ) xi0 + exp(tJ) * g_1 with
+    g = S^{-1} f and xi0 = (S^{-1} E x0)_1 = (T^{-1} x0)_1, the derivative
+    sum eta = -sum N^i g_2^(i) to the stagnation power, x = V xi + K eta.
+    The algebraic part of x0 is the one f forces (``initial_value_error``
+    records any jump).  Raises ClosedFormUnavailable when cond(S) exceeds
+    COND_CAP and BasisMismatch when the dimensions do not add up to n.
     """
     if not p.is_square:
         raise DecompositionUnavailable("full solve needs a square pencil")
     x0 = np.asarray(x0, dtype=complex)
     rep = hilbert_decomposition(p)
-    mu = rep.mu
-    B, slices = block_left_resolvent(rep)
-    U = decomposition_basis(rep)
-    n_blocks = len(slices)
-    fm = f.modulate(-mu)
-    g = [fm.apply(U[:, sl].conj().T) for sl in slices]
-
-    # algebraic levels, solved bottom-up by differentiation
-    z: dict[int, Signal] = {}
-    for i in range(n_blocks - 1, 0, -1):
-        acc = g[i]
-        for j in range(i + 1, n_blocks):
-            Bij = B[slices[i], slices[j]]
-            if np.linalg.norm(Bij):
-                acc = acc - z[j].derivative().apply(Bij)
-        z[i] = acc
-
-    # leading block on Z_ran: the ODE d/dt(R00 zeta) = -zeta + h_hat
-    h_hat = g[0]
-    for j in range(1, n_blocks):
-        B0j = B[slices[0], slices[j]]
-        if np.linalg.norm(B0j):
-            h_hat = h_hat - z[j].derivative().apply(B0j)
-    r0 = slices[0].stop - slices[0].start
-    w0 = U.conj().T @ ((mu * p.E - p.A) @ x0)
-    if r0 > 0:
-        # R00 = Z_ran^H R_l(mu) Z_ran, whose generator at shift 0 is -R00^{-1}
-        G = range_generator(rep.R_l, rep.Z_ran.basis, 0.0)
-        prop = propagator_signal(G)
-        z[0] = prop.matvec(w0[slices[0]]) - prop.convolve(h_hat.apply(G))
-    else:
-        z[0] = Signal.zero(0)
-
-    w_sig = Signal.zero(p.n_z)
-    for i in range(n_blocks):
-        if z[i].shape[0]:
-            w_sig = w_sig + z[i].apply(U[:, slices[i]])
-    x_sig = w_sig.apply(rep.R_mu).modulate(mu)
-    init_mismatch = {}
-    for i in range(1, n_blocks):
-        v0 = z[i].value_at_zero()
-        if v0 is not None and v0.size:
-            init_mismatch[f"level_{n_blocks - i}"] = float(
-                np.linalg.norm(v0 - w0[slices[i]]))
-    cons = {"algebraic_initial_mismatch": init_mismatch}
-    return _from_signal(p, x_sig, ts, f, x0=x0, consistency=cons)
+    V, K = rep.X_ran.basis, rep.X_ker.basis
+    r = V.shape[1]
+    if r + K.shape[1] != p.n_x:
+        raise BasisMismatch(f"X_ran and X_ker have dimensions {r} and "
+                            f"{K.shape[1]}, the state space {p.n_x}")
+    S = np.hstack([p.E @ V, p.A @ K])
+    if not np.linalg.cond(S) <= COND_CAP:
+        raise ClosedFormUnavailable("X_ran and X_ker do not split the pencil")
+    S_inv = np.linalg.inv(S)
+    x_sig = Signal.zero(p.n_x)
+    if r:
+        prop = propagator_signal(S_inv[:r] @ p.A @ V)
+        xi = (prop.matvec(S_inv[:r] @ (p.E @ x0))
+              + prop.convolve(f.apply(S_inv[:r])))
+        x_sig = xi.apply(V)
+    if r < p.n_x:
+        eta = derivative_sum(S_inv[r:] @ p.E @ K, f.apply(S_inv[r:]),
+                             rep.stagnation_k)
+        x_sig = x_sig + eta.apply(K)
+    return _from_signal(p, x_sig, ts, f, x0=x0)
 
 
 def cross_check(p: Pencil, t1: Trajectory, t2: Trajectory) -> float:

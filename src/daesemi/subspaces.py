@@ -1,9 +1,10 @@
 """Range/kernel stabilization sequences and the orthogonal decomposition.
 
 X_k = ran R_r(mu)^k and Z_k = ran R_l(mu)^k shrink until they stagnate; the
-stagnated spaces X_ran, Z_ran carry the dynamics, their complements split
-into levels W_{.,k} in which the left resolvent becomes block upper
-triangular with zero diagonal blocks below the first row.
+stagnated spaces X_ran, Z_ran carry the dynamics, and X_ran + X_ker is the
+split solve_full solves in.  For analysis, the complements split into
+levels W_{.,k} in which the left resolvent becomes block upper triangular
+with zero diagonal blocks below the first row.
 ``hilbert_decomposition`` builds the chains; the stabilized kernels and the
 levels are built on first read, so a caller pays only for what it reads.
 """
@@ -56,9 +57,8 @@ class DecompositionReport:
     stagnation_k: int
     X_chain: list[SubspaceBasis]  # X_0 ) X_1 ) ... (index = power k)
     Z_chain: list[SubspaceBasis]
-    R_mu: np.ndarray  # (mu E - A)^{-1}, shared by every later stage
-    R_r: np.ndarray   # R_r(mu) = R_mu E, on the x-space
-    R_l: np.ndarray   # R_l(mu) = E R_mu, on the z-space
+    R_r: np.ndarray   # R_r(mu) = (mu E - A)^{-1} E, on the x-space
+    R_l: np.ndarray   # R_l(mu) = E (mu E - A)^{-1}, on the z-space
 
     @property
     def X_ran(self) -> SubspaceBasis:
@@ -88,15 +88,12 @@ class DecompositionReport:
 
 def _range_chain(R: np.ndarray, p_max: int) -> list[SubspaceBasis]:
     n = R.shape[0]
-    floor = np.linalg.norm(R, 2) if n else 0.0
-    chain = [SubspaceBasis(np.eye(n, dtype=complex), n)]
-    for _ in range(p_max):
-        nxt = svd_split(R @ chain[-1].basis, scale=floor)[0]
-        chain.append(nxt)
-        if nxt.rank == chain[-2].rank:
-            return chain
-    if chain[-1].rank != chain[-2].rank:
-        raise NoStagnation(f"ranks still decreasing after {p_max} steps")
+    first, _, floor = svd_split(R)  # floor = ||R||_2 for the later steps
+    chain = [SubspaceBasis(np.eye(n, dtype=complex), n), first]
+    while chain[-1].rank != chain[-2].rank:
+        if len(chain) > p_max:
+            raise NoStagnation(f"ranks still decreasing after {p_max} steps")
+        chain.append(svd_split(R @ chain[-1].basis, scale=floor)[0])
     return chain
 
 
@@ -128,7 +125,7 @@ def hilbert_decomposition(p: Pencil, mu: complex | None = None) -> Decomposition
     X_chain += [X_chain[-1]] * (stag + 2 - len(X_chain))
     Z_chain += [Z_chain[-1]] * (stag + 2 - len(Z_chain))
     return DecompositionReport(mu=mu, stagnation_k=stag, X_chain=X_chain,
-                               Z_chain=Z_chain, R_mu=R_mu, R_r=Rr, R_l=Rl)
+                               Z_chain=Z_chain, R_r=Rr, R_l=Rl)
 
 
 def decomposition_basis(rep: DecompositionReport) -> np.ndarray:
@@ -149,7 +146,8 @@ def block_left_resolvent(rep: DecompositionReport):
 
     Returns (matrix, slices) where slices[i] indexes block i.  Verifies that
     every block row below the first vanishes on and left of its diagonal
-    block.
+    block.  No solver uses the block form; it stays for analysis and
+    tracing.
     """
     U = decomposition_basis(rep)
     Rl = rep.R_l

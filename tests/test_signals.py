@@ -159,12 +159,12 @@ def test_value_at_zero_unbounded():
     assert sig.has_negative_powers()
 
 
-def test_modulate_and_matvec():
+def test_matvec():
     sig = Signal.from_terms([(np.eye(2), 1, -1.0)])
     v = np.array([2.0, -1.0])
-    mv = sig.matvec(v).modulate(0.5)
+    mv = sig.matvec(v)
     t = 0.9
-    assert np.allclose(mv(t), t * np.exp(-0.5 * t) * v)
+    assert np.allclose(mv(t), t * np.exp(-t) * v)
 
 
 def test_trim_drops_noise_terms():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from daesemi import (Pencil, Signal, WeierstrassOracle, bromwich_invert,
-                     build_evaluator, contour_for, cross_check, eval_S_r,
+from daesemi import (Pencil, Signal, SubspaceBasis, WeierstrassOracle,
+                     bromwich_invert, build_evaluator, contour_for,
+                     cross_check, eval_S_r, hilbert_decomposition,
                      make_transport, make_weierstrass, restrict_to_kernel,
                      solve_full, solve_homogeneous, solve_inhomogeneous_ran,
-                     solve_kernel_inhomogeneity, verify_properties)
-from daesemi.errors import (ClosedFormUnavailable, InconsistentInitialValue,
-                            LiftFailed, SolverMismatch)
+                     solve_kernel_inhomogeneity, solver, verify_properties)
+from daesemi.errors import (BasisMismatch, ClosedFormUnavailable,
+                            InconsistentInitialValue, LiftFailed,
+                            SolverMismatch)
 
 TS = np.linspace(0.0, 5.0, 41)
 
@@ -272,6 +274,52 @@ def test_default_path_at_high_index(shape, seed):
     traj = solve_full(p, x0, f, TS)
     ref = orc.solve(x0, f)(TS)
     assert np.max(np.abs(traj.values - ref)) < 1e-8 * np.abs(ref).max()
+
+
+def _forcing(rng, n):
+    return Signal.from_terms([(rng.normal(size=n), 1, -0.5),
+                              (rng.normal(size=n), 0, 2j),
+                              (rng.normal(size=n), 0, -2j)])
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("k", [5, 6])
+def test_full_route_exact_at_high_index(n, k):
+    p, orc = make_weierstrass(n // 2, n // 2, k, seed=k)
+    rng = np.random.default_rng(n + k)
+    f = _forcing(rng, n)
+    x0 = orc.consistent_x0(rng.normal(size=n), f)
+    traj = solve_full(p, x0, f, TS)
+    ref = orc.solve(x0, f)(TS)
+    assert np.max(np.abs(traj.values - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_route_from_an_inconsistent_start(seed):
+    # the differential part of x0 is kept, the algebraic part is the one f
+    # forces, as in the oracle's Weierstrass coordinates
+    p, orc = make_weierstrass(4, 4, 1 + seed, seed=70 + seed)
+    rng = np.random.default_rng(seed)
+    f = _forcing(rng, 8)
+    x0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    traj = solve_full(p, x0, f, TS)
+    ref = orc.solve(x0, f)(TS)
+    assert np.max(np.abs(traj.values - ref)) <= 1e-10 * np.abs(ref).max()
+    assert traj.consistency["initial_value_error"] > 1e-2
+
+
+@pytest.mark.parametrize("broken, error", [
+    (lambda rep: SubspaceBasis(rep.X_ker.basis[:, 1:], 4), BasisMismatch),
+    (lambda rep: rep.X_ran, ClosedFormUnavailable)],
+    ids=["dimensions", "condition"])
+def test_full_route_refuses_a_split_that_is_not_one(monkeypatch, broken,
+                                                    error):
+    p, _ = make_weierstrass(2, 2, 2, seed=0)
+    rep = hilbert_decomposition(p)
+    rep.X_ker = broken(rep)
+    monkeypatch.setattr(solver, "hilbert_decomposition", lambda _: rep)
+    with pytest.raises(error):
+        solve_full(p, np.zeros(4), Signal.zero(4), TS)
 
 
 def test_full_route_with_finite_eigenvalue_at_twice_the_shift():

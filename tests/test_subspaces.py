@@ -8,8 +8,8 @@ import pytest
 from daesemi import (Pencil, SubspaceBasis, build_evaluator,
                      check_disjointness, hilbert_decomposition,
                      intersection_dim, make_transport, make_weierstrass,
-                     principal_angles, solve_homogeneous,
-                     verify_properties)
+                     principal_angles, restrict_to_kernel,
+                     solve_homogeneous, verify_properties)
 from daesemi import pencil as pencil_module
 from daesemi import subspaces
 from daesemi.cli import main
@@ -38,8 +38,10 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_orth_and_null_are_complementary(case):
     M, rank = SPLIT_CASES[case]
-    ran, ker = svd_split(M)
+    ran, ker, norm = svd_split(M)
     assert ran.rank == rank and ran.ambient_dim == M.shape[0]
+    assert np.isclose(norm, np.linalg.svd(M, compute_uv=False).max(
+        initial=0.0))
     assert ran.rank + ker.rank == M.shape[1] == ker.ambient_dim
     assert np.allclose(M @ ker.basis, 0, atol=1e-10)
     assert np.allclose(ran.basis.conj().T @ ran.basis, np.eye(rank),
@@ -98,6 +100,20 @@ def test_decomposition_mixed():
     flags = check_disjointness(rep, p)
     assert flags.dim_Xran_cap_Xker == 0
     assert flags.dim_Zran_cap_Zker == 0
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_stabilized_kernel_at_high_index(k):
+    # a floor of ||R||^k on R^k swamps the invertible part of R^k here and
+    # made the kernel all of C^16
+    p, orc = make_weierstrass(8, 8, k, seed=0)
+    rep = hilbert_decomposition(p)
+    w_star = np.linalg.qr(np.linalg.inv(orc.S)[:, 8:])[0]
+    assert rep.X_ker.rank == rep.Z_ker.rank == 8
+    assert principal_angles(rep.X_ker, SubspaceBasis(w_star, 16)).max() < 1e-8
+    flags = check_disjointness(rep, p)
+    assert flags.disjoint_kernel and flags.dim_Xran_cap_Xker == 0
+    assert restrict_to_kernel(p, MU, k).dim == 8
 
 
 def test_block_left_resolvent_structure():
