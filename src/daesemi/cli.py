@@ -22,6 +22,7 @@ from .fileio import (RunReport, read_pencil, read_signal, trajectory_csv,
 from .pencil import (Pencil, chain_index, estimate_resolvent_index,
                      right_resolvent)
 from .semigroup import build_evaluator, cp_semigroup, verify_properties
+from .signals import Signal
 from .solver import solve_full, solve_homogeneous
 from .subspaces import check_disjointness, hilbert_decomposition
 
@@ -44,6 +45,11 @@ def _index_dict(rep) -> dict:
             "axis_consistent": rep.axis_consistent}
 
 
+def _levels(chain) -> list[int]:
+    """Level ranks: the chain's rank drops up to stagnation."""
+    return [a.rank - b.rank for a, b in zip(chain, chain[1:-1])]
+
+
 def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     p = read_pencil(args.pencil)
@@ -59,8 +65,8 @@ def _cmd_analyze(args) -> int:
             "stagnation_k": rep.stagnation_k,
             "dim_X_ran": rep.X_ran.rank, "dim_Z_ran": rep.Z_ran.rank,
             "dim_X_ker": rep.X_ker.rank, "dim_Z_ker": rep.Z_ker.rank,
-            "levels_X": [w.rank for w in rep.W_X],
-            "levels_Z": [w.rank for w in rep.W_Z]},
+            "levels_X": _levels(rep.X_chain),
+            "levels_Z": _levels(rep.Z_chain)},
         disjointness={
             "disjoint_ranE": flags.disjoint_ranE,
             "disjoint_kernel": flags.disjoint_kernel,
@@ -90,13 +96,13 @@ def _cmd_solve(args) -> int:
     method = args.method
     if method == "auto":
         method = "decomp" if p.is_square else "contour"
-    if f is None:
-        traj = solve_homogeneous(p, x0, ts, method=method, strict=False)
+    if method == "decomp":
+        traj = solve_full(p, x0, Signal.zero(p.n_z) if f is None else f, ts)
+    elif f is None:
+        traj = solve_homogeneous(p, x0, ts, method="contour", strict=False)
     else:
-        if method == "contour":
-            raise BadShape("the contour method only solves homogeneous "
-                           "problems; use decomp/auto with a signal")
-        traj = solve_full(p, x0, f, ts)
+        raise BadShape("the contour method only solves homogeneous "
+                       "problems; use decomp/auto with a signal")
     csv_text = trajectory_csv(traj.times, traj.values)
     if args.csv_out:
         with open(args.csv_out, "w") as fh:

@@ -172,7 +172,7 @@ def make_hamiltonian(n: int, rank_E: int, seed=0) -> Pencil:
         A = K - P
         pen = Pencil(E, A, omega_hint=0.0, name=f"hamiltonian({n},{rank_E})")
         try:
-            rep = hilbert_decomposition(pen, 2.0)
+            rep = hilbert_decomposition(pen)
             flags = check_disjointness(rep, pen)
         except (DaesemiError, np.linalg.LinAlgError):
             continue

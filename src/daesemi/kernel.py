@@ -5,9 +5,10 @@ the operator A acts invertibly and N = E_ker A_ker^{-1} is nilpotent, so
 the algebraic part of the DAE is solved by a finite derivative sum.
 
 ``derivative_sum`` is that sum; solve_full applies it in the coordinates
-of its split X = X_ran + X_ker.  ``restrict_to_kernel`` builds the kernel
-pair, A_ker and N apart from that split, as the independent route that
-acceptance criterion 7 checks and the solver tests compare with solve_full.
+of its split X = X_ran + X_ker.  ``restrict_to_kernel`` builds A_ker and N
+on the decomposition's kernel pair apart from that split, as the
+independent route that acceptance criterion 7 checks and the solver tests
+compare with solve_full.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AKerSingular, DimensionMismatch
-from .pencil import COND_CAP, Pencil, SubspaceBasis, power_kernel, resolvent
+from .pencil import COND_CAP, Pencil, SubspaceBasis
 from .signals import Signal
+from .subspaces import hilbert_decomposition
 
 NILPOTENT_TOL = 1e-10
 
@@ -37,31 +39,31 @@ class KernelRestriction:
         return self.basis_X_ker.rank
 
 
-def _nilpotency_degree(N: np.ndarray, p_int: int) -> int:
+def _nilpotency_degree(N: np.ndarray, bound: int) -> int:
     if N.shape[0] == 0:
         return 0
     scale = max(np.linalg.norm(N, 2), 1.0)
     M = np.eye(N.shape[0], dtype=complex)
-    for d in range(p_int + 1):
+    for d in range(bound + 1):
         if np.linalg.norm(M, 2) <= NILPOTENT_TOL * scale ** d:
             return d
         M = M @ N
     raise AKerSingular(
-        f"E_ker A_ker^-1 is not nilpotent of degree <= {p_int}")
+        f"E_ker A_ker^-1 is not nilpotent of degree <= {bound}")
 
 
-def restrict_to_kernel(p: Pencil, mu: complex, p_int: int) -> KernelRestriction:
-    """Coordinates of (E, A) between X_ker and Z_ker, with A inverted."""
-    R = resolvent(p, mu)
-    Vx = power_kernel(R @ p.E, p_int)
-    Vz = power_kernel(p.E @ R, p_int)
+def restrict_to_kernel(p: Pencil) -> KernelRestriction:
+    """Coordinates of (E, A) between the decomposition's X_ker and Z_ker,
+    with A inverted and N nilpotent of degree <= its stagnation power."""
+    rep = hilbert_decomposition(p)
+    Vx, Vz = rep.X_ker, rep.Z_ker
     if Vx.rank != Vz.rank:
         raise AKerSingular(
             f"kernel dimensions differ: {Vx.rank} vs {Vz.rank}")
     if Vx.rank == 0:
         z = np.zeros((0, 0), dtype=complex)
         return KernelRestriction(Vx, Vz, z, z, z, 0)
-    # A must map X_ker into Z_ker; escaping mass signals an invalid p_int
+    # A must map X_ker into Z_ker
     AVx = p.A @ Vx.basis
     leak = np.linalg.norm(AVx - Vz.basis @ (Vz.basis.conj().T @ AVx), 2)
     if leak > 1e-8 * max(np.linalg.norm(p.A, 2), 1.0):
@@ -71,7 +73,7 @@ def restrict_to_kernel(p: Pencil, mu: complex, p_int: int) -> KernelRestriction:
         raise AKerSingular("A restricted to the kernel is numerically singular")
     A_ker_inv = np.linalg.solve(A_ker, np.eye(A_ker.shape[0], dtype=complex))
     N = Vz.basis.conj().T @ p.E @ Vx.basis @ A_ker_inv
-    degree = _nilpotency_degree(N, p_int)
+    degree = _nilpotency_degree(N, rep.stagnation_k)
     return KernelRestriction(Vx, Vz, A_ker, A_ker_inv, N, degree)
 
 
@@ -86,15 +88,10 @@ def derivative_sum(N: np.ndarray, g: Signal, terms: int) -> Signal:
     return acc
 
 
-def solve_kernel_inhomogeneity(k: KernelRestriction, f: Signal,
-                               p_int: int) -> Signal:
-    """x(t) = -sum_{i=0}^{p} A_ker^{-1} N^i f^(i)(t) in kernel coordinates.
-
-    The sum formally runs to i = p although nilpotency kills the top term;
-    the stated bound is kept and the vanishing is effectively asserted by
-    N^p = 0.
-    """
+def solve_kernel_inhomogeneity(k: KernelRestriction, f: Signal) -> Signal:
+    """x(t) = -sum_{i<d} A_ker^{-1} N^i f^(i)(t) in kernel coordinates,
+    with d = k.nilpotency_degree, so N^d = 0 ends the sum."""
     if len(f.shape) != 1 or f.shape[0] != k.dim:
         raise DimensionMismatch(
             f"signal shape {f.shape} vs kernel dimension {k.dim}")
-    return derivative_sum(k.N, f, p_int + 1).apply(k.A_ker_inv)
+    return derivative_sum(k.N, f, k.nilpotency_degree).apply(k.A_ker_inv)

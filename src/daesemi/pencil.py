@@ -25,6 +25,7 @@ COND_CAP = 1e12
 SAMPLE_COND_CAP = 1e15
 RANK_RCOND = 1e-10
 TOL_SLOPE = 0.15
+MIN_FIT_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,8 @@ class Pencil:
 
 
 def default_shift(p: Pencil) -> float:
-    """The shift mu used when none is given: two right of the growth hint."""
+    """Two right of the growth hint: the first shift to try."""
     return (p.omega_hint or 0.0) + 2.0
-
-
-def spectral_shift(p: Pencil) -> float | None:
-    """Two right of the largest real part of the finite eigenvalues.
-
-    The fallback when a finite eigenvalue sits at ``default_shift(p)``; it
-    costs a generalized eigenvalue solve, so it is computed only then.
-    None for rectangular pencils and pencils with no finite eigenvalue.
-    """
-    if not p.is_square:
-        return None
-    w = scipy.linalg.eigvals(p.A, p.E)
-    w = w[np.isfinite(w)]
-    return float(np.max(w.real)) + 2.0 if w.size else None
 
 
 @dataclass(frozen=True)
@@ -298,17 +285,20 @@ def _p_from_slope(slope: float) -> int:
     return max(0, math.ceil(slope + 1.0 - TOL_SLOPE))
 
 
-def _sample_norms(p: Pencil, lams: np.ndarray) -> np.ndarray:
-    """||(lam E - A)^+||_2 = 1/sigma_min at each lam, from one batched SVD.
+def _sample_norms(p: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lams, ||(lam E - A)^+||_2 = 1/sigma_min) from one batched SVD, on
+    the samples that pass ``resolvent``'s gate with SAMPLE_COND_CAP.
 
-    Raises SingularAtLambda where sigma_min <= sigma_max / SAMPLE_COND_CAP,
-    the gate ``resolvent`` applies with that cap.
+    At high index sigma_max / sigma_min grows like lam^p_res past the cap,
+    so a refused tail is dropped if MIN_FIT_SAMPLES lead it; any other
+    refusal raises SingularAtLambda.
     """
     s = np.linalg.svd(lams[:, None, None] * p.E - p.A, compute_uv=False)
-    bad = s[:, -1] <= s[:, 0] / SAMPLE_COND_CAP
-    if np.any(bad):
-        raise SingularAtLambda(f"singular sample at {lams[np.argmax(bad)]}")
-    return 1.0 / s[:, -1]
+    bad = np.flatnonzero(s[:, -1] <= s[:, 0] / SAMPLE_COND_CAP)
+    m = len(lams) - bad.size  # the accepted prefix when ``bad`` is a tail
+    if bad.size and (bad[0] != m or m < MIN_FIT_SAMPLES):
+        raise SingularAtLambda(f"singular sample at {lams[bad[0]]}")
+    return lams[:m], 1.0 / s[:m, -1]
 
 
 def estimate_resolvent_index(p: Pencil) -> IndexReport:
@@ -322,13 +312,13 @@ def estimate_resolvent_index(p: Pencil) -> IndexReport:
     lam E - A (the least-squares resolvent's norm on rectangular pencils).
     Sampling relaxes the usual condition-number cap: resolvent norms
     growing like lam**p_res are the very thing being measured and must not
-    be mistaken for singularity.
+    be mistaken for singularity, so a refused tail is dropped.
     """
     omega = p.omega_hint if p.omega_hint is not None else 0.0
     lam_min = max(10.0, omega + 1.0)
-    lams = np.geomspace(lam_min, 1e3, 16)
+    heights = np.geomspace(lam_min, 1e3, 16)
     try:
-        norms = _sample_norms(p, lams)
+        lams, norms = _sample_norms(p, heights)
     except SingularAtLambda as exc:
         raise NotRegularOnRay(str(exc)) from exc
     slope = _fit_slope(lams, norms)
@@ -337,10 +327,9 @@ def estimate_resolvent_index(p: Pencil) -> IndexReport:
     C = float(np.max(norms / lams ** (p_res - 1)))
 
     # vertical-line cross-check at fixed real part, at the ray's sample heights
-    vlams = lam_min + 1j * lams
     try:
-        p_vert = _p_from_slope(_fit_slope(np.abs(vlams),
-                                          _sample_norms(p, vlams)))
+        vlams, vnorms = _sample_norms(p, lam_min + 1j * heights)
+        p_vert = _p_from_slope(_fit_slope(np.abs(vlams), vnorms))
     except SingularAtLambda:
         p_vert = None
     return IndexReport(sample_points=lams, norms=norms, fitted_slope=slope,

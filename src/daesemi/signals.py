@@ -122,19 +122,22 @@ class Signal:
         return self._repeat(_derivative_rows, order)
 
     def antiderivative(self, order: int = 1) -> "Signal":
-        """k-fold integral from 0, exact; steps composed as in ``_repeat``."""
+        """k-fold integral from 0, exact; steps composed as in ``_repeat``,
+        each choosing its branch by the steps still to come."""
         return self._repeat(_antiderivative_rows, order)
 
     def _repeat(self, rows_of, order: int) -> "Signal":
-        """``order`` steps of the term map ``rows_of``, run on the K x K
+        """``order`` steps of the term map ``rows_of(powers, rates, later)``,
+        ``later`` the number of steps still to come, run on the K x K
         identity when it is the smaller stack, then applied in one product."""
         K = len(self.powers)
         one_pass = order > 1 and K * K < self.coeffs.size
         sig = self
         if one_pass:
             sig = Signal(np.eye(K, dtype=complex), self.powers, self.rates)
-        for _ in range(order):
-            sig = _combine(sig.coeffs, rows_of(sig.powers, sig.rates))
+        for j in range(order):
+            sig = _combine(sig.coeffs,
+                           rows_of(sig.powers, sig.rates, order - 1 - j))
         return _nonzero(np.tensordot(sig.coeffs, self.coeffs, 1), sig.powers,
                         sig.rates) if one_pass else sig
 
@@ -158,7 +161,7 @@ class Signal:
                 k = _as_int_power(k)
                 for r in range(m + 1):
                     pref = math.comb(m, r) * (-1.0) ** r
-                    for coef, q, c in _int_power_exp(r + k, b - a):
+                    for coef, q, c in _int_power_exp(r + k, b - a, 0):
                         # times  pref * t**(m-r) * exp(a * t)
                         rows.append((i * len(other.powers) + j, pref * coef,
                                      (m - r) + q, a + c))
@@ -235,7 +238,7 @@ class Signal:
     def to_json_dict(self) -> dict:
         if len(self.shape) != 1:
             raise DimensionMismatch("only vector signals serialize to JSON")
-        return {"terms": [
+        return {"shape": list(self.shape), "terms": [
             {"coeff": [[float(c.real), float(c.imag)] for c in t.coeff],
              "power": t.power,
              "rate": [float(t.rate.real), float(t.rate.imag)]}
@@ -243,9 +246,11 @@ class Signal:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Signal":
+        """The inverse of ``to_json_dict``; only an empty signal needs "shape"."""
         return Signal.from_terms(
-            ([complex(re, im) for re, im in t["coeff"]], t["power"],
-             complex(t["rate"][0], t["rate"][1])) for t in d["terms"])
+            (([complex(re, im) for re, im in t["coeff"]], t["power"],
+              complex(t["rate"][0], t["rate"][1])) for t in d["terms"]),
+            shape=d.get("shape"))
 
 
 def _combine(stack: np.ndarray, rows) -> Signal:
@@ -275,17 +280,17 @@ def _combine(stack: np.ndarray, rows) -> Signal:
     return _nonzero(stack, powers[first], rates[first])
 
 
-def _derivative_rows(powers, rates) -> np.ndarray:
+def _derivative_rows(powers, rates, later) -> np.ndarray:
     """``_combine`` rows of d/dt: t^m e^{at} -> (a t^m + m t^{m-1}) e^{at}."""
     k = np.arange(len(powers))
     return np.column_stack([np.r_[k, k], np.r_[rates, powers],
                             np.r_[powers, powers - 1], np.r_[rates, rates]])
 
 
-def _antiderivative_rows(powers, rates) -> list:
+def _antiderivative_rows(powers, rates, later) -> list:
     """``_combine`` rows of the integral from 0 of every term."""
     return [(k, coef, m, a) for k, (q, c) in enumerate(zip(powers, rates))
-            for coef, m, a in _int_power_exp(q, c)]
+            for coef, m, a in _int_power_exp(q, c, later)]
 
 
 def _nonzero(coeffs, powers, rates) -> Signal:
@@ -314,20 +319,22 @@ def _small_rate_cutoff(q: int) -> float:
     return min(0.5, (math.factorial(q) * 1e-6) ** (1.0 / (q + 1)))
 
 
-def _int_power_exp(q: float, c: complex) -> list[tuple[complex, float, complex]]:
+def _int_power_exp(q: float, c: complex,
+                   later: int) -> list[tuple[complex, float, complex]]:
     """int_0^t tau**q e^{c tau} d tau as [(coef, power, rate)] terms.
 
     The closed-form recursion divides by c repeatedly and loses accuracy
     for small rates; those are integrated through the series
     sum_i c^i t^{q+i+1} / (i! (q+i+1)) instead, truncated so the result is
-    accurate to ~1e-12 on t in [0, _SERIES_HORIZON].
+    accurate to ~1e-12 on t in [0, _SERIES_HORIZON].  Each of ``later``
+    integrations still to come divides by c again, so q + later decides.
     """
     if c == 0:
         if q <= -1:
             raise SmoothnessInsufficient(f"non-integrable power {q}")
         return [(1.0 / (q + 1), q + 1, 0j)]
     qi_guess = int(max(q, 0))
-    if abs(c) < _small_rate_cutoff(qi_guess):
+    if abs(c) < _small_rate_cutoff(qi_guess + later):
         if q <= -1:
             raise SmoothnessInsufficient(f"non-integrable power {q}")
         out = []

@@ -2,11 +2,11 @@
 
 X_k = ran R_r(mu)^k and Z_k = ran R_l(mu)^k shrink until they stagnate; the
 stagnated spaces X_ran, Z_ran carry the dynamics, and X_ran + X_ker is the
-split solve_full solves in.  For analysis, the complements split into
-levels W_{.,k} in which the left resolvent becomes block upper triangular
-with zero diagonal blocks below the first row.
-``hilbert_decomposition`` builds the chains; the stabilized kernels and the
-levels are built on first read, so a caller pays only for what it reads.
+split solve_full solves in.  ``hilbert_decomposition`` alone picks the
+shift mu and the power stagnation_k.  For analysis, the left complements
+split into levels W_{Z,k} in which the left resolvent becomes block upper
+triangular with zero diagonal blocks below the first row.  The kernels and
+the levels are built on first read, so a caller pays only for what it reads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .errors import BasisMismatch, NoStagnation, SingularAtLambda
 from .pencil import (Pencil, SubspaceBasis, default_shift, power_kernel,
-                     resolvent, spectral_shift, svd_split)
+                     resolvent, svd_split)
 
 ANGLE_TOL = 1e-6
 
@@ -50,10 +50,10 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
 @dataclass
 class DecompositionReport:
     """Range chains of R_r(mu), R_l(mu).  The stabilized kernels (of
-    R^max(stagnation_k, 1)) and the levels (W_X[i] = level i+1, the
-    complement of X_{i+1} in X_i) are built on first read."""
+    R^max(stagnation_k, 1)) and the left levels (W_Z[i] = level i+1, the
+    complement of Z_{i+1} in Z_i) are built on first read."""
 
-    mu: complex
+    mu: float
     stagnation_k: int
     X_chain: list[SubspaceBasis]  # X_0 ) X_1 ) ... (index = power k)
     Z_chain: list[SubspaceBasis]
@@ -78,10 +78,6 @@ class DecompositionReport:
 
     # a chain holds stagnation_k + 2 spaces, so stagnation_k levels
     @cached_property
-    def W_X(self) -> list[SubspaceBasis]:
-        return list(map(complement_in, self.X_chain, self.X_chain[1:-1]))
-
-    @cached_property
     def W_Z(self) -> list[SubspaceBasis]:
         return list(map(complement_in, self.Z_chain, self.Z_chain[1:-1]))
 
@@ -97,22 +93,21 @@ def _range_chain(R: np.ndarray, p_max: int) -> list[SubspaceBasis]:
     return chain
 
 
-def hilbert_decomposition(p: Pencil, mu: complex | None = None) -> DecompositionReport:
+def hilbert_decomposition(p: Pencil) -> DecompositionReport:
     """The range chains of R_r(mu) and R_l(mu) and their stagnation power.
 
-    Without ``mu`` the shift is ``default_shift(p)``; if a finite eigenvalue
-    makes that shift singular, it moves once to ``spectral_shift(p)``.  The
-    shift used is ``rep.mu``.
+    The shift mu is the first default_shift(p) + j, j = 0, 1, ..., n_x, at
+    which ``resolvent`` is regular: a regular pencil has at most n_x finite
+    eigenvalues, so one of them is.  The shift used is ``rep.mu``.
     """
-    retry = mu is None
-    mu = default_shift(p) if retry else mu
-    try:
-        R_mu = resolvent(p, mu)
-    except SingularAtLambda:
-        mu = spectral_shift(p) if retry else None
-        if mu is None:
-            raise
-        R_mu = resolvent(p, mu)
+    for j in range(p.n_x + 1):
+        mu = default_shift(p) + j
+        try:
+            R_mu = resolvent(p, mu)
+            break
+        except SingularAtLambda:
+            if j == p.n_x:
+                raise
     p_max = max(p.n_x, p.n_z) + 1
     Rr = R_mu @ p.E
     Rl = p.E @ R_mu

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from daesemi import Pencil
+from daesemi import Pencil, WeierstrassOracle, make_weierstrass
 
 
 @pytest.fixture
@@ -19,3 +20,18 @@ def nilpotent_pencil() -> Pencil:
 def nilpotent_of_index(k: int) -> Pencil:
     E = np.diag(np.ones(k - 1), 1) if k > 1 else np.zeros((1, 1))
     return Pencil(E, np.eye(max(k, 1)), name=f"nilpotent{k}")
+
+
+def weierstrass_with_mode(n_s: int, n_n: int, k: int, seed: int,
+                          mode: complex):
+    """make_weierstrass(n_s, n_n, k, seed) with its pinned eigenvalue -1 of
+    J moved to ``mode``: the pencil (growth hint 0, so the default shift is
+    2) and its WeierstrassOracle, built from the same T, S, J, N."""
+    _, orc = make_weierstrass(n_s, n_n, k, seed=seed)
+    w, Q = np.linalg.eig(orc.J)
+    w[np.argmin(np.abs(w + 1.0))] = mode
+    J = Q @ np.diag(w) @ np.linalg.inv(Q)
+    orc = WeierstrassOracle(orc.T, orc.S, J, orc.N, k)
+    E = orc.T @ scipy.linalg.block_diag(np.eye(n_s), orc.N) @ orc.S
+    A = orc.T @ scipy.linalg.block_diag(J, np.eye(n_n)) @ orc.S
+    return Pencil(E, A, omega_hint=0.0, name=f"mode({n_s},{n_n},{k})"), orc

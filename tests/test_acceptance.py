@@ -138,12 +138,12 @@ def test_criterion_3_oracle_equivalence(capsys):
                                    _relerr(tr.values, ref(ts)))
 
         # kernel formula: inhomogeneity valued in the stabilized kernel
-        kr = restrict_to_kernel(pen, 2.0, est.p_res + 1)
+        kr = restrict_to_kernel(pen)
         if kr.dim:
             fk = Signal.from_terms([(rng.normal(size=kr.dim), 2, -0.5),
                                     (rng.normal(size=kr.dim), 0, 0.3j)])
             f_ker = fk.apply(kr.basis_Z_ker.basis)
-            xk = solve_kernel_inhomogeneity(kr, fk, est.p_res + 1) \
+            xk = solve_kernel_inhomogeneity(kr, fk) \
                 .apply(kr.basis_X_ker.basis)
             ref = orc.solve(np.zeros(n), f_ker)
             worst["kernel"] = max(worst["kernel"], _relerr(xk(ts), ref(ts)))
@@ -182,7 +182,7 @@ def test_criterion_4_index_consistency(capsys):
             assert est.p_res == k, f"{pen.name}: p_res {est.p_res} != {k}"
         ok &= ck == k
         assert ck == k, f"{pen.name}: chain index {ck} != {k}"
-        kr = restrict_to_kernel(pen, 2.0, est.p_res + 1)
+        kr = restrict_to_kernel(pen)
         ok &= kr.nilpotency_degree <= est.p_res + 1
         assert kr.nilpotency_degree <= est.p_res + 1, pen.name
     _report(capsys, 4, "index consistency on constructed pencils", ok)
@@ -194,7 +194,7 @@ def test_criterion_5_transport_structure(capsys):
     n = m = 32
     pen = make_transport(n, m)
     est = estimate_resolvent_index(pen)
-    rep = hilbert_decomposition(pen, 2.0)
+    rep = hilbert_decomposition(pen)
 
     second_block = np.zeros((n + m, m), dtype=complex)
     second_block[n:, :] = np.eye(m)
@@ -263,11 +263,11 @@ def test_criterion_7_kernel_formula_worked_instance(capsys):
     """f = (t, t^2) on the purely algebraic pencil gives x = (-3t, -t^2)."""
     E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     pen = Pencil(E, np.eye(2, dtype=complex), name="algebraic")
-    kr = restrict_to_kernel(pen, 2.0, 3)
+    kr = restrict_to_kernel(pen)
     f = Signal.from_terms([(np.array([1.0, 0.0]), 1, 0.0),
                            (np.array([0.0, 1.0]), 2, 0.0)])
     fk = f.apply(kr.basis_Z_ker.basis.conj().T)
-    x = solve_kernel_inhomogeneity(kr, fk, 3).apply(kr.basis_X_ker.basis)
+    x = solve_kernel_inhomogeneity(kr, fk).apply(kr.basis_X_ker.basis)
     ts = np.linspace(0.0, 3.0, 13)
     expected = np.stack([-3.0 * ts, -ts ** 2], axis=1)
     sol_err = float(np.max(np.abs(x(ts) - expected)))

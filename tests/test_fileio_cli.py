@@ -124,6 +124,49 @@ def test_cli_solve_inhomogeneous(pencil_file, tmp_path, capsys):
     assert rep["solver"]["csv"].startswith("t,x_0_re")
 
 
+def test_cli_solve_zero_signal_file(pencil_file, tmp_path, capsys):
+    fpath = tmp_path / "zero.json"
+    write_signal(fpath, Signal.zero(2))
+    assert read_signal(fpath).shape == (2,)
+    assert main(["solve", pencil_file, "--x0", "1,0", "--signal", str(fpath),
+                 "--steps", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"]["classification"] \
+        == "classical"
+
+
+@pytest.mark.parametrize("method", ["decomp", "auto"])
+def test_cli_solve_inconsistent_start_matches_oracle(tmp_path, capsys,
+                                                     method):
+    """An inconsistent x0 keeps its differential part and takes the
+    algebraic part the equation forces, as the oracle does."""
+    p, orc = make_weierstrass(2, 2, 2, seed=1)
+    path, csv_path = str(tmp_path / "w.json"), str(tmp_path / "x.csv")
+    write_pencil(path, p)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert main(["solve", path, "--x0", "1,0,0,0", "--t1", "2", "--steps",
+                 "21", "--method", method, "--csv-out", csv_path]) == 0
+    rep = json.loads(capsys.readouterr().out)["solver"]
+    assert rep["classification"] == "classical"
+    assert rep["consistency"]["initial_value_error"] > 1e-2
+    ts, vals = parse_trajectory_csv(open(csv_path).read())
+    ref = orc.solve(x0)(ts)
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_cli_analyze_at_high_index(tmp_path, capsys, k):
+    path = str(tmp_path / "w.json")
+    write_pencil(path, make_weierstrass(8, 8, k, seed=k % 3)[0])
+    assert main(["analyze", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    dec = rep["decomposition"]
+    assert (rep["index"]["p_res"], rep["index"]["chain_index"],
+            dec["stagnation_k"]) == (k, k, k)
+    assert (dec["dim_X_ran"], dec["dim_X_ker"]) == (8, 8)
+    # one Jordan block of size k and 8 - k of size 1
+    assert dec["levels_X"] == dec["levels_Z"] == [9 - k] + [1] * (k - 1)
+
+
 @pytest.mark.parametrize("term", [
     {"coeff": [[float("nan"), 0.0], [1.0, 0.0]], "power": 0, "rate": [0.0, 0.0]},
     {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": float("nan"), "rate": [0.0, 0.0]},

@@ -9,16 +9,13 @@ from daesemi.errors import AKerSingular, DimensionMismatch
 
 from conftest import nilpotent_of_index
 
-MU = 2.0
-
-
 def test_worked_instance_exact(nilpotent_pencil):
     """f = (t, t^2) on E=[[0,1],[0,0]], A=I gives x = (-3t, -t^2) exactly."""
-    k = restrict_to_kernel(nilpotent_pencil, MU, p_int=3)
+    k = restrict_to_kernel(nilpotent_pencil)
     assert k.dim == 2
     f_amb = Signal.from_terms([([1.0, 0.0], 1, 0.0), ([0.0, 1.0], 2, 0.0)])
     f_loc = f_amb.apply(k.basis_Z_ker.basis.conj().T)
-    x_loc = solve_kernel_inhomogeneity(k, f_loc, p_int=3)
+    x_loc = solve_kernel_inhomogeneity(k, f_loc)
     x = x_loc.apply(k.basis_X_ker.basis)
     ts = np.linspace(0.0, 4.0, 17)
     expect = np.stack([-3.0 * ts, -ts ** 2], axis=1)
@@ -32,7 +29,7 @@ def test_worked_instance_exact(nilpotent_pencil):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_nilpotency_degree_matches_index(k):
     p = nilpotent_of_index(k)
-    kr = restrict_to_kernel(p, MU, p_int=k + 1)
+    kr = restrict_to_kernel(p)
     assert kr.dim == k
     assert kr.nilpotency_degree == k
     Npow = np.linalg.matrix_power(kr.N, kr.nilpotency_degree)
@@ -41,7 +38,7 @@ def test_nilpotency_degree_matches_index(k):
 
 def test_restriction_on_transformed_pencil():
     p, orc = make_weierstrass(2, 3, 2, seed=4)
-    kr = restrict_to_kernel(p, MU, p_int=3)
+    kr = restrict_to_kernel(p)
     assert kr.dim == 3
     assert kr.nilpotency_degree == 2
     # A maps X_ker bijectively onto Z_ker
@@ -49,26 +46,26 @@ def test_restriction_on_transformed_pencil():
 
 
 def test_empty_kernel(diag_pencil):
-    kr = restrict_to_kernel(diag_pencil, MU, p_int=2)
+    kr = restrict_to_kernel(diag_pencil)
     assert kr.dim == 0
-    out = solve_kernel_inhomogeneity(kr, Signal.zero(0), p_int=2)
+    out = solve_kernel_inhomogeneity(kr, Signal.zero(0))
     assert out.shape == (0,)
 
 
 def test_homogeneous_kernel_part_is_zero(nilpotent_pencil):
-    kr = restrict_to_kernel(nilpotent_pencil, MU, p_int=3)
-    out = solve_kernel_inhomogeneity(kr, Signal.zero(2), p_int=3)
+    kr = restrict_to_kernel(nilpotent_pencil)
+    out = solve_kernel_inhomogeneity(kr, Signal.zero(2))
     assert len(out.terms) == 0
 
 
 def test_kernel_solution_matches_oracle():
     p, orc = make_weierstrass(0, 3, 3, seed=9)
-    kr = restrict_to_kernel(p, MU, p_int=4)
+    kr = restrict_to_kernel(p)
     rng = np.random.default_rng(2)
     f = Signal.from_terms([(rng.normal(size=3), 2, -0.4),
                            (rng.normal(size=3), 0, 0.3j)])
     f_loc = f.apply(kr.basis_Z_ker.basis.conj().T)
-    x = solve_kernel_inhomogeneity(kr, f_loc, p_int=4) \
+    x = solve_kernel_inhomogeneity(kr, f_loc) \
         .apply(kr.basis_X_ker.basis)
     ts = np.linspace(0, 3, 13)
     ref = orc.solve(np.zeros(3), f)
@@ -76,9 +73,9 @@ def test_kernel_solution_matches_oracle():
 
 
 def test_dimension_mismatch(nilpotent_pencil):
-    kr = restrict_to_kernel(nilpotent_pencil, MU, p_int=3)
+    kr = restrict_to_kernel(nilpotent_pencil)
     with pytest.raises(DimensionMismatch):
-        solve_kernel_inhomogeneity(kr, Signal.zero(5), p_int=3)
+        solve_kernel_inhomogeneity(kr, Signal.zero(5))
 
 
 def test_singular_pencil_rejected():
@@ -86,4 +83,4 @@ def test_singular_pencil_rejected():
     from daesemi.errors import SingularAtLambda
     p = Pencil(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
     with pytest.raises(SingularAtLambda):
-        restrict_to_kernel(p, MU, p_int=2)
+        restrict_to_kernel(p)

@@ -107,6 +107,27 @@ def test_not_regular_on_ray():
         estimate_resolvent_index(p)
 
 
+def test_index_fit_drops_a_refused_tail():
+    # at index 6 the condition of lam E - A passes SAMPLE_COND_CAP at the
+    # large end of the ray; the fit runs on the leading samples
+    p, _ = make_weierstrass(8, 8, 6, seed=0)
+    rep = estimate_resolvent_index(p)
+    assert 4 <= len(rep.sample_points) < 16
+    assert rep.p_res == rep.p_res_vertical == 6
+
+
+def test_index_fit_refuses_an_interior_or_long_refused_run():
+    # a finite eigenvalue exactly on an interior ray sample: an accepted
+    # sample follows the refused one
+    lam = np.geomspace(10.0, 1e3, 16)[5]
+    with pytest.raises(NotRegularOnRay):
+        estimate_resolvent_index(Pencil(np.diag([1.0, 0.0]),
+                                        np.diag([lam, 1.0])))
+    # index 14: only the first sample passes the cap, too few to fit
+    with pytest.raises(NotRegularOnRay):
+        estimate_resolvent_index(nilpotent_of_index(14))
+
+
 def test_hand_checked_dissipative_example():
     # E = diag(1,0), A = [[-1,1],[-1,-1]]: det(lam E - A) = lam + 2
     p = Pencil(np.diag([1.0, 0.0]), np.array([[-1.0, 1.0], [-1.0, -1.0]]),

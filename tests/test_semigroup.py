@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      f_norm, forward_laplace, make_hamiltonian,
@@ -15,7 +16,7 @@ from daesemi.errors import NotInXran
 from daesemi.pencil import QZForm
 from daesemi.signals import Signal
 
-from conftest import nilpotent_of_index
+from conftest import nilpotent_of_index, weierstrass_with_mode
 
 
 def test_laplace_representation_closed_vs_quadrature(diag_pencil):
@@ -129,6 +130,25 @@ def test_identity_suite(maker):
     ev = build_evaluator(maker())
     rep = verify_properties(ev)
     assert rep.all_passed, rep.residuals
+
+
+@pytest.mark.parametrize("k, mode", [(2, -1e-3), (4, -1e-4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_slow_mode_semigroup(k, mode, seed):
+    """A mode near 0 makes S_coord = prop.antiderivative(p) integrate
+    e^{ct} p times at a small rate; it must still pass the identity suite
+    and match the Van Loan block exponential, whose top-right block is the
+    p-fold integral of exp(t A_R)."""
+    ev = build_evaluator(weierstrass_with_mode(4, 4, k, seed, mode)[0])
+    assert verify_properties(ev).all_passed
+    r, p = ev.rank, ev.p
+    M = np.zeros((r * (p + 1),) * 2, dtype=complex)
+    M[:r, :r] = ev.A_R
+    for i in range(p):
+        M[i * r:(i + 1) * r, (i + 1) * r:(i + 2) * r] = np.eye(r)
+    for t in (0.5, 2.0, 10.0):
+        ref = scipy.linalg.expm(t * M)[:r, p * r:]
+        assert np.abs(ev.S_coord(t) - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.01])

@@ -1,5 +1,6 @@
 """Exp-polynomial signal calculus against quadrature and finite differences."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,22 @@ def test_one_pass_calculus_equals_single_steps(keys, k, seed):
         assert np.max(np.abs(one(ts) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("rate", [1e-4, -1e-3, 1e-3, 1e-2, -0.2 + 0.1j])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_repeated_integration_at_small_rates(rate, k):
+    """antiderivative(k) of e^{ct} is (e^{ct} - sum_{i<k} (ct)^i / i!) / c^k;
+    at a small rate every recursion step divides by c once more, so each
+    step chooses its branch knowing how many steps follow."""
+    ts = np.linspace(0.5, 10.0, 20)
+    got = Signal.from_terms([([1.0], 0, rate)]).antiderivative(k)(ts)[:, 0]
+    with mpmath.workdps(60):
+        c = mpmath.mpc(rate)
+        ref = np.array([complex((mpmath.exp(c * t) - sum(
+            (c * t) ** i / mpmath.factorial(i) for i in range(k))) / c ** k)
+            for t in map(mpmath.mpf, ts)])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9
+
+
 def test_convolution_against_quadrature():
     rng = np.random.default_rng(3)
     K = Signal.from_terms([(rng.normal(size=(2, 2)), 1, -0.5 + 0.3j),
@@ -178,6 +195,18 @@ def test_json_round_trip():
     back = Signal.from_json_dict(sig.to_json_dict())
     ts = np.linspace(0, 2, 9)
     assert np.allclose(back(ts), sig(ts))
+
+
+def test_zero_signal_json_round_trip():
+    """The shape is written, so a signal without terms reads back; a file
+    without it still reads while it has terms."""
+    zero = Signal.from_json_dict(Signal.zero(3).to_json_dict())
+    assert zero.shape == (3,) and len(zero.terms) == 0
+    d = _rand_signal(np.random.default_rng(6)).to_json_dict()
+    assert d.pop("shape") == [2]
+    assert Signal.from_json_dict(d).shape == (2,)
+    with pytest.raises(DimensionMismatch):
+        Signal.from_json_dict({"terms": []})
 
 
 def test_shape_errors():

@@ -12,15 +12,13 @@ from daesemi import (Pencil, SubspaceBasis, build_evaluator,
                      solve_homogeneous, verify_properties)
 from daesemi import pencil as pencil_module
 from daesemi import subspaces
-from daesemi.cli import main
+from daesemi.cli import _levels, main
 from daesemi.fileio import write_pencil
 from daesemi.pencil import svd_split
 from daesemi.subspaces import (block_left_resolvent, complement_in,
                                decomposition_basis)
 
 from conftest import nilpotent_of_index
-
-MU = 2.0
 
 _rng = np.random.default_rng(0)
 SPLIT_CASES = {
@@ -78,24 +76,26 @@ def test_complement_in():
 
 
 def test_chains_diag(diag_pencil):
-    rep = hilbert_decomposition(diag_pencil, MU)
+    rep = hilbert_decomposition(diag_pencil)
     assert rep.X_ran.rank == 2 and rep.X_ker.rank == 0
     assert rep.stagnation_k == 0
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_chains_pure_nilpotent(k):
-    rep = hilbert_decomposition(nilpotent_of_index(k), MU)
+    rep = hilbert_decomposition(nilpotent_of_index(k))
     assert rep.X_ran.rank == 0 and rep.X_ker.rank == k
     assert rep.stagnation_k == k
-    assert [w.rank for w in rep.W_X] == [1] * k
+    assert [w.rank for w in rep.W_Z] == [1] * k
     # the level complements tile the whole space with the stagnated range
-    assert rep.X_ran.rank + sum(w.rank for w in rep.W_X) == k
+    assert rep.Z_ran.rank + sum(w.rank for w in rep.W_Z) == k
+    # analyze's X levels are the rank drops of the X chain
+    assert _levels(rep.X_chain) == [1] * k
 
 
 def test_decomposition_mixed():
     p, orc = make_weierstrass(2, 2, 2, seed=1)
-    rep = hilbert_decomposition(p, MU)
+    rep = hilbert_decomposition(p)
     assert rep.X_ran.rank == 2 and rep.X_ker.rank == 2
     flags = check_disjointness(rep, p)
     assert flags.dim_Xran_cap_Xker == 0
@@ -113,12 +113,12 @@ def test_stabilized_kernel_at_high_index(k):
     assert principal_angles(rep.X_ker, SubspaceBasis(w_star, 16)).max() < 1e-8
     flags = check_disjointness(rep, p)
     assert flags.disjoint_kernel and flags.dim_Xran_cap_Xker == 0
-    assert restrict_to_kernel(p, MU, k).dim == 8
+    assert restrict_to_kernel(p).dim == 8
 
 
 def test_block_left_resolvent_structure():
     p, _ = make_weierstrass(2, 3, 3, seed=2)
-    rep = hilbert_decomposition(p, MU)
+    rep = hilbert_decomposition(p)
     B, slices = block_left_resolvent(rep)
     assert len(slices) == rep.stagnation_k + 1
     # rows below the first block row vanish on and left of the diagonal
@@ -132,7 +132,7 @@ def test_block_left_resolvent_structure():
 def test_transport_structure():
     n, m = 8, 8
     p = make_transport(n, m)
-    rep = hilbert_decomposition(p, MU)
+    rep = hilbert_decomposition(p)
     # algebraic directions are exactly the second segment
     ref = np.zeros((n + m, m), dtype=complex)
     ref[n:, :] = np.eye(m)
@@ -150,7 +150,8 @@ def test_transport_structure():
 def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
                                                  capsys):
     """The contour solve and the identity suite read neither the stabilized
-    kernels nor the levels, so they build neither; analyze reports both."""
+    kernels nor the levels, so they build neither; analyze reads the
+    kernels and takes the level ranks from the chains' rank drops."""
     calls = {"complement_in": 0, "power_kernel": 0}
 
     def counted(name, fn):
@@ -177,5 +178,5 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     assert (dec["stagnation_k"], dec["dim_X_ran"], dec["dim_Z_ran"],
             dec["dim_X_ker"], dec["dim_Z_ker"]) == (2, 3, 3, 3, 3)
     assert dec["levels_X"] == dec["levels_Z"] == [2, 1]
-    # one kernel per side, one complement per level and side
-    assert calls == {"complement_in": 4, "power_kernel": 2}
+    # one kernel per side, and no level complement
+    assert calls == {"complement_in": 0, "power_kernel": 2}
