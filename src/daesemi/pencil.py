@@ -88,8 +88,9 @@ class SubspaceBasis:
 
 def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
               scale: float | None = None
-              ) -> tuple[SubspaceBasis, SubspaceBasis, float]:
-    """Orthonormal (range, kernel) bases of M and ||M||_2, from one SVD.
+              ) -> tuple[SubspaceBasis, SubspaceBasis, float, SubspaceBasis]:
+    """Orthonormal (range, kernel) bases of M, ||M||_2 and the coimage
+    (the complement of the kernel, ran M^H), from one SVD.
 
     The rank counts s > max(s_0, scale) * rcond; the absolute floor
     ``scale`` keeps a matrix of pure round-off noise from counting as full
@@ -98,28 +99,27 @@ def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
     m, n = M.shape
     if M.size == 0:
         return (SubspaceBasis(np.zeros((m, 0), dtype=complex), m),
-                SubspaceBasis(np.eye(n, dtype=complex), n), 0.0)
+                SubspaceBasis(np.eye(n, dtype=complex), n), 0.0,
+                SubspaceBasis(np.zeros((n, 0), dtype=complex), n))
     u, s, vh = np.linalg.svd(M, full_matrices=m < n)
     rank = int(np.sum(s > max(s[0], scale or 0.0) * rcond))
     return (SubspaceBasis(u[:, :rank], m),
-            SubspaceBasis(vh[rank:].conj().T, n), float(s[0]))
+            SubspaceBasis(vh[rank:].conj().T, n), float(s[0]),
+            SubspaceBasis(vh[:rank].conj().T, n))
 
 
-def power_kernel(R: np.ndarray, k: int) -> SubspaceBasis:
-    """ker R^k by k preimage steps K_{j+1} = ker((I - P_{K_j}) R), each
-    with the rank floor ||R||_2 (one floor ||R||_2^k on R^k would swamp its
-    invertible part once ||R|| is large).  I - P_{K_j} = C C^H, with C the
-    range of the previous step's M^H; the first SVD gives ||R||_2.
+def power_kernel(R: np.ndarray, k: int, split: tuple) -> SubspaceBasis:
+    """ker R^k, k >= 1, from ``split`` = svd_split(R), the SVD the caller
+    already took: it gives K_1 = ker R, its complement C_1 and ||R||_2.
+    Each of the k - 1 preimage steps K_{j+1} = ker(C_j^H R), with
+    C_j C_j^H = I - P_{K_j}, is one SVD that also gives C_{j+1}, with the
+    rank floor ||R||_2 (one floor ||R||_2^k on R^k would swamp its
+    invertible part once ||R|| is large).
     """
-    if k == 0:
-        return SubspaceBasis(np.zeros((R.shape[1], 0), dtype=complex),
-                             R.shape[1])
-    M, floor = R, None
+    _, K, floor, C = split
     for _ in range(k - 1):
-        C, _, norm = svd_split(M.conj().T, scale=floor)
-        floor = norm if floor is None else floor
-        M = C.basis.conj().T @ R
-    return svd_split(M, scale=floor)[1]
+        _, K, _, C = svd_split(C.basis.conj().T @ R, scale=floor)
+    return K
 
 
 @dataclass(frozen=True)

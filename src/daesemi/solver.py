@@ -289,11 +289,18 @@ def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:
 
 
 def cross_check(p: Pencil, t1: Trajectory, t2: Trajectory) -> float:
-    """Max pointwise disagreement of two trajectories on a common grid."""
-    if t1.values.shape != t2.values.shape:
+    """Max pointwise disagreement of two trajectories on a common grid,
+    relative to the largest finite entry of t1; 0 on an empty grid.  A
+    non-finite entry agrees only with the same value (NaN with NaN)."""
+    a, b = t1.values, t2.values
+    if a.shape != b.shape:
         raise SolverMismatch("trajectories sampled on different grids")
-    scale = max(1.0, float(np.max(np.abs(t1.values))))
-    err = float(np.max(np.abs(t1.values - t2.values))) / scale
+    finite = np.isfinite(a) & np.isfinite(b)
+    if np.any(~finite & (a != b) & ~(np.isnan(a) & np.isnan(b))):
+        raise SolverMismatch("solution methods disagree on a non-finite value")
+    a, b = a[finite], b[finite]
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    err = float(np.max(np.abs(a - b), initial=0.0)) / scale
     if err > CROSS_TOL:
         raise SolverMismatch(f"solution methods disagree by {err:.2e}")
     return err

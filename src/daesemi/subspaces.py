@@ -3,10 +3,12 @@
 X_k = ran R_r(mu)^k and Z_k = ran R_l(mu)^k shrink until they stagnate; the
 stagnated spaces X_ran, Z_ran carry the dynamics, and X_ran + X_ker is the
 split solve_full solves in.  ``hilbert_decomposition`` alone picks the
-shift mu and the power stagnation_k.  For analysis, the left complements
-split into levels W_{Z,k} in which the left resolvent becomes block upper
-triangular with zero diagonal blocks below the first row.  The kernels and
-the levels are built on first read, so a caller pays only for what it reads.
+shift mu, and the right chain alone fixes the power stagnation_k.  For
+analysis, the left complements split into levels W_{Z,k} in which the left
+resolvent becomes block upper triangular with zero diagonal blocks below
+the first row.  The kernels, the whole left side and the levels are built
+on first read, so a caller pays only for what it reads: solve_full and the
+evaluator read the right side alone.
 """
 
 from __future__ import annotations
@@ -49,52 +51,85 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
 
 @dataclass
 class DecompositionReport:
-    """Range chains of R_r(mu), R_l(mu).  The stabilized kernels (of
-    R^max(stagnation_k, 1)) and the left levels (W_Z[i] = level i+1, the
-    complement of Z_{i+1} in Z_i) are built on first read."""
+    """The range chain of R_r(mu), whose length fixes stagnation_k, and
+    everything else on first read: the stabilized kernels (of R^max(k, 1),
+    k the power at which that side's chain stagnates), the left side
+    (R_l(mu) = E R_mu and its chain) and the left levels (W_Z[i] = level
+    i+1, the complement of Z_{i+1} in Z_i)."""
 
     mu: float
     stagnation_k: int
     X_chain: list[SubspaceBasis]  # X_0 ) X_1 ) ... (index = power k)
-    Z_chain: list[SubspaceBasis]
     R_r: np.ndarray   # R_r(mu) = (mu E - A)^{-1} E, on the x-space
-    R_l: np.ndarray   # R_l(mu) = E (mu E - A)^{-1}, on the z-space
+    R_mu: np.ndarray  # (mu E - A)^{-1}
+    E: np.ndarray
+    X_split: tuple    # svd_split(R_r), the X chain's first step
 
     @property
     def X_ran(self) -> SubspaceBasis:
         return self.X_chain[-1]
+
+    @cached_property
+    def X_ker(self) -> SubspaceBasis:
+        return power_kernel(self.R_r, max(self.stagnation_k, 1), self.X_split)
+
+    @property
+    def R_l(self) -> np.ndarray:
+        """R_l(mu) = E (mu E - A)^{-1}, on the z-space: one product per
+        read, so the report holds no third n x n matrix for it."""
+        return self.E @ self.R_mu
+
+    @cached_property
+    def _left(self) -> tuple[list[SubspaceBasis], tuple]:
+        """(Z chain, svd_split(R_l)).  R_mu maps onto the x-space, so
+        rank Z_{j+1} = rank E X_j lies between rank X_{j+1} and rank X_j:
+        the left chain stagnates at stagnation_k, or one power later on a
+        tall pencil (on a square one R_mu is invertible and the ranks
+        agree).  A longer left chain raises NoStagnation."""
+        k = self.stagnation_k + (self.E.shape[0] > self.E.shape[1])
+        try:
+            return _range_chain(self.R_l, k + 1)
+        except NoStagnation as exc:
+            raise NoStagnation(
+                f"the left chain outlasts the right one, which stagnates at "
+                f"power {self.stagnation_k}") from exc
+
+    @property
+    def Z_chain(self) -> list[SubspaceBasis]:
+        return self._left[0]
 
     @property
     def Z_ran(self) -> SubspaceBasis:
         return self.Z_chain[-1]
 
     @cached_property
-    def X_ker(self) -> SubspaceBasis:
-        return power_kernel(self.R_r, max(self.stagnation_k, 1))
-
-    @cached_property
     def Z_ker(self) -> SubspaceBasis:
-        return power_kernel(self.R_l, max(self.stagnation_k, 1))
+        return power_kernel(self.R_l, max(len(self.Z_chain) - 2, 1),
+                            self._left[1])
 
-    # a chain holds stagnation_k + 2 spaces, so stagnation_k levels
+    # a chain ends one step past stagnation, so it holds one level per power
     @cached_property
     def W_Z(self) -> list[SubspaceBasis]:
         return list(map(complement_in, self.Z_chain, self.Z_chain[1:-1]))
 
 
-def _range_chain(R: np.ndarray, p_max: int) -> list[SubspaceBasis]:
+def _range_chain(R: np.ndarray, p_max: int
+                 ) -> tuple[list[SubspaceBasis], tuple]:
+    """(ran R^j for j = 0, 1, ... one step past stagnation, svd_split(R));
+    the first step's ||R||_2 is the rank floor of the later ones."""
     n = R.shape[0]
-    first, _, floor = svd_split(R)  # floor = ||R||_2 for the later steps
-    chain = [SubspaceBasis(np.eye(n, dtype=complex), n), first]
+    split = svd_split(R)
+    chain = [SubspaceBasis(np.eye(n, dtype=complex), n), split[0]]
     while chain[-1].rank != chain[-2].rank:
         if len(chain) > p_max:
             raise NoStagnation(f"ranks still decreasing after {p_max} steps")
-        chain.append(svd_split(R @ chain[-1].basis, scale=floor)[0])
-    return chain
+        chain.append(svd_split(R @ chain[-1].basis, scale=split[2])[0])
+    return chain, split
 
 
 def hilbert_decomposition(p: Pencil) -> DecompositionReport:
-    """The range chains of R_r(mu) and R_l(mu) and their stagnation power.
+    """The range chain of R_r(mu) and its stagnation power; the left side
+    is built when first read.
 
     The shift mu is the first default_shift(p) + j, j = 0, 1, ..., n_x, at
     which ``resolvent`` is regular: a regular pencil has at most n_x finite
@@ -108,19 +143,13 @@ def hilbert_decomposition(p: Pencil) -> DecompositionReport:
         except SingularAtLambda:
             if j == p.n_x:
                 raise
-    p_max = max(p.n_x, p.n_z) + 1
     Rr = R_mu @ p.E
-    Rl = p.E @ R_mu
-    X_chain = _range_chain(Rr, p_max)
-    Z_chain = _range_chain(Rl, p_max)
+    X_chain, X_split = _range_chain(Rr, max(p.n_x, p.n_z) + 1)
     # X_k = X_{k+1} exactly once ranks agree (nested ranges), so the chain
     # ends one step past stagnation; report the stagnation power.
-    stag = max(len(X_chain), len(Z_chain)) - 2
-    # pad the shorter chain with its stagnated space to the common power
-    X_chain += [X_chain[-1]] * (stag + 2 - len(X_chain))
-    Z_chain += [Z_chain[-1]] * (stag + 2 - len(Z_chain))
-    return DecompositionReport(mu=mu, stagnation_k=stag, X_chain=X_chain,
-                               Z_chain=Z_chain, R_r=Rr, R_l=Rl)
+    return DecompositionReport(mu=mu, stagnation_k=len(X_chain) - 2,
+                               X_chain=X_chain, R_r=Rr, R_mu=R_mu, E=p.E,
+                               X_split=X_split)
 
 
 def decomposition_basis(rep: DecompositionReport) -> np.ndarray:

@@ -432,6 +432,20 @@ def test_cross_check_raises_on_disagreement(diag_pencil):
     b = Trajectory(times=ts, values=a.values + 1.0)
     with pytest.raises(SolverMismatch):
         cross_check(diag_pencil, a, b)
+    # a non-finite entry must not hide a 100-fold disagreement elsewhere
+    ts = np.array([0.0, 1.0])
+    c = Trajectory(times=ts, values=np.array([[np.inf, 0, 0, 0], [1, 2, 3, 4]]))
+    d = Trajectory(times=ts, values=np.array([[0.0, 0, 0, 0], [100, 2, 3, 4]]))
+    with pytest.raises(SolverMismatch, match="non-finite"):
+        cross_check(diag_pencil, c, d)
+    d.values[0, 0] = np.inf
+    with pytest.raises(SolverMismatch, match="disagree by"):
+        cross_check(diag_pencil, c, d)
+    # the same non-finite value on both sides, and agreement elsewhere
+    c.values[1, 0] = d.values[1, 0] = np.nan
+    assert cross_check(diag_pencil, c, d) == 0.0
+    empty = Trajectory(times=np.zeros(0), values=np.zeros((0, 2)))
+    assert cross_check(diag_pencil, empty, empty) == 0.0
 
 
 def test_smoothness_ladder_on_nilpotent_pencil(nilpotent_pencil):

@@ -1,18 +1,20 @@
 """Stabilized range chains, decomposition levels and block structure."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from daesemi import (Pencil, SubspaceBasis, build_evaluator,
-                     check_disjointness, hilbert_decomposition,
-                     intersection_dim, make_transport, make_weierstrass,
-                     principal_angles, restrict_to_kernel,
-                     solve_homogeneous, verify_properties)
+from daesemi import (Pencil, Signal, SubspaceBasis, build_evaluator,
+                     check_disjointness, cp_semigroup, hilbert_decomposition,
+                     intersection_dim, make_hamiltonian, make_transport,
+                     make_weierstrass, principal_angles, restrict_to_kernel,
+                     solve_full, solve_homogeneous, verify_properties)
+from daesemi import cli, kernel, semigroup, solver, subspaces
 from daesemi import pencil as pencil_module
-from daesemi import subspaces
 from daesemi.cli import _levels, main
+from daesemi.errors import NoStagnation
 from daesemi.fileio import write_pencil
 from daesemi.pencil import svd_split
 from daesemi.subspaces import (block_left_resolvent, complement_in,
@@ -36,8 +38,12 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_orth_and_null_are_complementary(case):
     M, rank = SPLIT_CASES[case]
-    ran, ker, norm = svd_split(M)
+    ran, ker, norm, coran = svd_split(M)
     assert ran.rank == rank and ran.ambient_dim == M.shape[0]
+    # the coimage completes the kernel to an orthonormal basis of C^n
+    assert coran.rank == rank and coran.ambient_dim == M.shape[1]
+    T = np.hstack([coran.basis, ker.basis])
+    assert np.allclose(T.conj().T @ T, np.eye(M.shape[1]), atol=1e-12)
     assert np.isclose(norm, np.linalg.svd(M, compute_uv=False).max(
         initial=0.0))
     assert ran.rank + ker.rank == M.shape[1] == ker.ambient_dim
@@ -102,18 +108,83 @@ def test_decomposition_mixed():
     assert flags.dim_Zran_cap_Zker == 0
 
 
-@pytest.mark.parametrize("k", [6, 8])
-def test_stabilized_kernel_at_high_index(k):
-    # a floor of ||R||^k on R^k swamps the invertible part of R^k here and
-    # made the kernel all of C^16
-    p, orc = make_weierstrass(8, 8, k, seed=0)
+@pytest.mark.parametrize("n,k", [pytest.param(16, k, id=str(k))
+                                 for k in range(1, 9)]
+                         + [pytest.param(128, k, id=f"n128-{k}")
+                            for k in range(1, 5)])
+def test_stabilized_kernel_at_high_index(n, k):
+    # a floor of ||R||^k on R^k swamps the invertible part of R^k at k = 6
+    # and 8 on n = 16 and made the kernel all of C^16
+    m = n // 2
+    p, orc = make_weierstrass(m, m, k, seed=0)
     rep = hilbert_decomposition(p)
-    w_star = np.linalg.qr(np.linalg.inv(orc.S)[:, 8:])[0]
-    assert rep.X_ker.rank == rep.Z_ker.rank == 8
-    assert principal_angles(rep.X_ker, SubspaceBasis(w_star, 16)).max() < 1e-8
+    w_star = np.linalg.qr(np.linalg.inv(orc.S)[:, m:])[0]
+    assert rep.X_ker.rank == rep.Z_ker.rank == m
+    assert principal_angles(rep.X_ker, SubspaceBasis(w_star, n)).max() < 1e-8
     flags = check_disjointness(rep, p)
     assert flags.disjoint_kernel and flags.dim_Xran_cap_Xker == 0
-    assert restrict_to_kernel(p).dim == 8
+    assert restrict_to_kernel(p).dim == m
+
+
+def _mixed_transport(n, m, seed):
+    """make_transport with its rows mixed by a seeded unitary, as the
+    benchmark's CLI workload draws it."""
+    base = make_transport(n, m)
+    rng = np.random.default_rng(seed)
+    nz = base.n_z
+    Q = np.linalg.qr(rng.normal(size=(nz, nz))
+                     + 1j * rng.normal(size=(nz, nz)))[0]
+    return Pencil(Q @ base.E, Q @ base.A, omega_hint=base.omega_hint)
+
+
+CHAIN_CASES = {
+    **{f"weierstrass-8-8-{k}-seed{s}":
+       (lambda k=k, s=s: make_weierstrass(8, 8, k, seed=s)[0])
+       for k in range(1, 9) for s in range(3)},
+    "hamiltonian-8-4": lambda: make_hamiltonian(8, 4),
+    **{f"transport-{n}-{m}": (lambda n=n, m=m: make_transport(n, m))
+       for n, m in [(2, 2), (3, 3), (4, 4), (8, 8), (16, 16), (24, 24),
+                    (4, 2), (2, 4), (8, 3)]},
+    **{f"mixed-transport-24-24-seed{s}":
+       (lambda s=s: _mixed_transport(24, 24, s)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_left_chain_ranks_match_the_right(case):
+    """rank Z_j = rank X_j for j >= 1 on every generator pencil (exact on a
+    square one: R_l^j = E R_r^(j-1) R_mu with R_mu invertible), so the
+    right chain alone fixes stagnation_k."""
+    rep = hilbert_decomposition(CHAIN_CASES[case]())
+    assert ([z.rank for z in rep.Z_chain[1:]]
+            == [x.rank for x in rep.X_chain[1:]])
+    assert len(rep.X_chain) == rep.stagnation_k + 2
+
+
+def test_left_chain_longer_than_the_right_raises():
+    rep = hilbert_decomposition(nilpotent_of_index(3))
+    assert rep.stagnation_k == 3
+    # one power short: a square pencil's left chain gets no extra power
+    short = dataclasses.replace(rep, stagnation_k=2, X_chain=rep.X_chain[:4])
+    for read in ("Z_chain", "Z_ran", "Z_ker", "W_Z"):
+        with pytest.raises(NoStagnation, match="outlasts"):
+            getattr(short, read)
+    assert short.stagnation_k == 2
+
+
+def test_tall_pencil_left_chain_one_power_later():
+    """On a tall pencil Z_0 = C^{n_z} is larger than every later Z_j, so
+    the left chain may stagnate one power after the right one."""
+    p = Pencil(np.vstack([np.eye(3), np.zeros((2, 3))]),
+               np.vstack([-np.eye(3), np.ones((2, 3))]))
+    rep = hilbert_decomposition(p)
+    assert rep.stagnation_k == 0
+    assert [x.rank for x in rep.X_chain] == [3, 3]
+    assert [z.rank for z in rep.Z_chain] == [5, 3, 3]
+    assert (rep.X_ker.rank, rep.Z_ker.rank) == (0, 2)
+    assert [w.rank for w in rep.W_Z] == [2]
+    U = decomposition_basis(rep)
+    assert np.allclose(U.conj().T @ U, np.eye(5), atol=1e-10)
 
 
 def test_block_left_resolvent_structure():
@@ -149,10 +220,14 @@ def test_transport_structure():
 
 def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
                                                  capsys):
-    """The contour solve and the identity suite read neither the stabilized
-    kernels nor the levels, so they build neither; analyze reads the
-    kernels and takes the level ranks from the chains' rank drops."""
-    calls = {"complement_in": 0, "power_kernel": 0}
+    """Every decomposition builds its right chain; the left chain is built
+    once, on first read.  solve_full, the contour solve and cp_semigroup
+    read nothing of the left side.  The identity suite reads Z_ran (for
+    S_l), and analyze reads the whole left side and the kernels but takes
+    the level ranks from the chains' rank drops.  Neither the contour solve
+    nor the identity suite reads a kernel or a level."""
+    calls = dict.fromkeys(("complement_in", "power_kernel", "_range_chain",
+                           "hilbert_decomposition", "svd"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -160,16 +235,31 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(subspaces, "complement_in",
-                        counted("complement_in", subspaces.complement_in))
+    def left_chains():
+        return calls["_range_chain"] - calls["hilbert_decomposition"]
+
+    for name in ("complement_in", "_range_chain"):
+        monkeypatch.setattr(subspaces, name,
+                            counted(name, getattr(subspaces, name)))
+    decompose = counted("hilbert_decomposition",
+                        subspaces.hilbert_decomposition)
+    for module in (subspaces, solver, semigroup, kernel, cli):
+        monkeypatch.setattr(module, "hilbert_decomposition", decompose)
     power_kernel = counted("power_kernel", pencil_module.power_kernel)
     for module in (pencil_module, subspaces):
         monkeypatch.setattr(module, "power_kernel", power_kernel)
     p, orc = make_weierstrass(3, 3, 2, seed=3)
     x0 = orc.consistent_x0(np.arange(1.0, 7.0))
     solve_homogeneous(p, x0, [0.0, 0.5, 1.0], method="contour")
+    cp_semigroup(build_evaluator(p), 0.5)
+    assert left_chains() == 0
     verify_properties(build_evaluator(p))
-    assert calls == {"complement_in": 0, "power_kernel": 0}
+    assert left_chains() == 1
+    assert (calls["complement_in"], calls["power_kernel"]) == (0, 0)
+
+    f = Signal.from_terms([(np.ones(6), 1, -0.5)])
+    solve_full(p, x0, f, [0.0, 1.0])
+    assert left_chains() == 1 and calls["power_kernel"] == 1
 
     path = str(tmp_path / "w.json")
     write_pencil(path, p)
@@ -178,5 +268,14 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     assert (dec["stagnation_k"], dec["dim_X_ran"], dec["dim_Z_ran"],
             dec["dim_X_ker"], dec["dim_Z_ker"]) == (2, 3, 3, 3, 3)
     assert dec["levels_X"] == dec["levels_Z"] == [2, 1]
-    # one kernel per side, and no level complement
-    assert calls == {"complement_in": 0, "power_kernel": 2}
+    # one left chain, one kernel per side, and no level complement
+    assert left_chains() == 2
+    assert (calls["complement_in"], calls["power_kernel"]) == (0, 3)
+
+    # at index 1 solve_full takes two SVDs: the two steps of the right
+    # chain, whose first also gives X_ker
+    p1, orc1 = make_weierstrass(3, 3, 1, seed=3)
+    x1 = orc1.consistent_x0(np.arange(1.0, 7.0))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    solve_full(p1, x1, f, [0.0, 1.0])
+    assert calls["svd"] == 2 and left_chains() == 2
