@@ -1,14 +1,15 @@
 """End-to-end DAE solvers with residual certification.
 
-Four routes to x with d/dt(E x) = A x + f:
-  * solve_homogeneous: contour inversion of the resolvent, or propagation
-    on the range space by the extracted semigroup;
-  * solve_inhomogeneous_ran: convolution with the integrated semigroup and
-    p analytic derivatives, for f valued in Z_ran;
+Routes to x with d/dt(E x) = A x + f; each keeps the part of x0 in X_ran
+taken along X_ker (Wong's V* along W*), and the equation fixes the rest:
   * solve_full: the split X = X_ran + X_ker of the decomposition, in which
     the pencil is diag(I, N), diag(J, I) (quasi-Weierstrass form): the
     propagator of J on X_ran and a finite derivative sum on X_ker —
     accepts f anywhere in Z;
+  * solve_homogeneous: solve_full with f = 0, or contour inversion of the
+    resolvent (square or rectangular pencils);
+  * solve_inhomogeneous_ran: convolution with the integrated semigroup and
+    p analytic derivatives, for f valued in Z_ran;
   * the kernel formula (kernel module) for f valued in Z_ker.
 Every trajectory carries max residuals of the pointwise (classical) and
 integrated (mild) forms of the equation.
@@ -29,7 +30,7 @@ from .laplace import bromwich_invert, contour_for
 # on this module.
 from .pencil import COND_CAP, Pencil, resolvent  # noqa: F401
 from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
-                        require_closed_form, transform_sampler)
+                        transform_sampler)
 from .signals import Signal
 from .subspaces import hilbert_decomposition
 
@@ -118,14 +119,8 @@ def residual(p: Pencil, traj: Trajectory, f: Signal | None) -> tuple[float, floa
     return classical / scale, mild / scale
 
 
-def _classify(p: Pencil, traj: Trajectory, f: Signal | None,
-              x0: np.ndarray | None) -> None:
+def _classify(p: Pencil, traj: Trajectory, f: Signal | None) -> None:
     traj.classical_res, traj.mild_res = residual(p, traj, f)
-    if x0 is not None and traj.signal is not None:
-        v0 = traj.signal.value_at_zero()
-        err = np.inf if v0 is None else float(
-            np.linalg.norm(v0 - np.asarray(x0, dtype=complex)))
-        traj.consistency.setdefault("initial_value_error", err)
     tol_c, tol_m = CLASSICAL_TOL, MILD_TOL
     if traj.signal is None and len(traj.times) > 1:
         # sampled trajectories: the mild form only up to quadrature order
@@ -138,56 +133,63 @@ def _classify(p: Pencil, traj: Trajectory, f: Signal | None,
         traj.classification = "none"
 
 
-def _from_signal(p: Pencil, sig: Signal, ts, f, x0=None,
-                 consistency=None) -> Trajectory:
+def _from_signal(p: Pencil, sig: Signal, ts, f, x0=None) -> Trajectory:
     ts = np.asarray(ts, dtype=float)
-    traj = Trajectory(times=ts, values=np.atleast_2d(sig(ts)), signal=sig,
-                      consistency=dict(consistency or {}))
-    _classify(p, traj, f, x0)
+    traj = Trajectory(times=ts, values=np.atleast_2d(sig(ts)), signal=sig)
+    if x0 is not None:
+        v0 = sig.value_at_zero()
+        err = np.inf if v0 is None else float(
+            np.linalg.norm(v0 - np.asarray(x0, dtype=complex)))
+        traj.consistency["initial_value_error"] = err
+    _classify(p, traj, f)
     return traj
 
 
-def _project_initial(ev: SemigroupEvaluator, x0, strict: bool) -> tuple:
-    x0 = np.asarray(x0, dtype=complex)
-    c = ev.V.conj().T @ x0
-    dist = float(np.linalg.norm(x0 - ev.V @ c))
+def _check_consistent(x0, dist: float, strict: bool) -> None:
     if strict and dist > CONSISTENCY_TOL * max(np.linalg.norm(x0), 1.0):
-        raise InconsistentInitialValue(
-            f"distance {dist:.2e} from the admissible range space")
+        raise InconsistentInitialValue(f"x0 lies {dist:.2e} off X_ran")
+
+
+def _consistent_part(ev: SemigroupEvaluator, x0, strict: bool) -> tuple:
+    """(c, ||x0 - V c||) with V c the part of x0 in X_ran along X_ker:
+    c = (T^{-1} x0)[:r], T = [V | K].  A T that is not square or whose
+    condition exceeds COND_CAP raises BasisMismatch."""
+    T = np.hstack([ev.V, ev.decomposition.X_ker.basis])
+    if T.shape[1] != ev.pencil.n_x or not np.linalg.cond(T) <= COND_CAP:
+        raise BasisMismatch("X_ran and X_ker do not split the state space")
+    c = np.linalg.solve(T, x0)[:ev.rank]
+    dist = float(np.linalg.norm(x0 - ev.V @ c))
+    _check_consistent(x0, dist, strict)
     return c, dist
 
 
 def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
-                      evaluator: SemigroupEvaluator | None = None,
                       strict: bool = True) -> Trajectory:
-    """d/dt(E x) = A x with x(0) = x0 projected onto the range space.
+    """d/dt(E x) = A x from the part of x0 in X_ran taken along X_ker.
 
-    ``method="decomp"`` propagates the projected x0 with the evaluator's
-    closed-form exp(t A_R).  ``method="contour"`` inverts the Laplace
-    transform F(lam) = (lam E - A)^{-1} E x0 at each output time, on the
-    hyperbola when the evaluator's spectrum of A_R fits inside it at that
-    time and on the Euler-accelerated line otherwise (``contour_for``).
-    Each node is solved once and sampled as [F(z), z F(z) - x0], so one
-    inversion gives x(t) and x'(t), and the classical residual is taken
-    pointwise; it bounds the per-node solves but not the quadrature error
-    (see ``residual``).  The 41 (hyperbola) or 109 (line) nodes of every
-    output time are sampled by one call: on square pencils one batched
-    back-substitution with the evaluator's QZ form solves them all, gated
-    node by node by a batched 1-norm condition estimate
-    (``QZForm.solve_at``); a long time grid is sampled in blocks of about
-    SWEEP_ENTRIES node entries.  The evaluator, built when none is given,
-    takes the shift and p from its decomposition.
+    consistency["initial_value_error"] records ||x(0) - x0||; ``strict``
+    raises InconsistentInitialValue when it exceeds CONSISTENCY_TOL
+    (relative).  ``method="decomp"`` is solve_full with f = 0 (square
+    pencils).  ``method="contour"`` (square or rectangular pencils) inverts
+    F(lam) = (lam E - A)^{-1} E x(0) at each output time, on the hyperbola
+    when the evaluator's spectrum of A_R fits inside it at that time and on
+    the Euler-accelerated line otherwise (``contour_for``).  Each node is
+    sampled as [F(z), z F(z) - x(0)], so one inversion gives x(t) and x'(t)
+    and the classical residual is pointwise; it bounds the node solves, not
+    the quadrature error (see ``residual``).  One call samples the 41
+    (hyperbola) or 109 (line) nodes of every output time, a long grid in
+    blocks of about SWEEP_ENTRIES node entries: on square pencils one
+    batched back-substitution with the evaluator's QZ form, gated node by
+    node by a batched 1-norm condition estimate (``QZForm.solve_at``).
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
-    backend = "closed_form" if method == "decomp" else "contour"
-    ev = evaluator or build_evaluator(p, backend=backend)
-    c, dist = _project_initial(ev, x0, strict)
-    cons = {"projection_distance": dist}
     if method == "decomp":
-        require_closed_form(ev, "the decomp method")
-        sig = ev.prop.matvec(c).apply(ev.V) if ev.rank else Signal.zero(p.n_x)
-        return _from_signal(p, sig, ts, None, x0=ev.V @ c, consistency=cons)
+        traj = solve_full(p, x0, Signal.zero(p.n_z), ts)
+        _check_consistent(x0, traj.consistency["initial_value_error"], strict)
+        return traj
+    ev = build_evaluator(p, backend="contour")
+    c, dist = _consistent_part(ev, x0, strict)
     x0p = ev.V @ c
     solve = transform_sampler(ev, x0p)
 
@@ -207,9 +209,10 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     kinds = [None] * len(ts)
     for i, cfg in zip(pos, cfgs):
         kinds[i] = cfg.kind
-    traj = Trajectory(times=ts, values=vals[:, :p.n_x], consistency=cons,
+    traj = Trajectory(times=ts, values=vals[:, :p.n_x],
+                      consistency={"initial_value_error": dist},
                       derivatives=vals[:, p.n_x:], contours=tuple(kinds))
-    _classify(p, traj, None, None)
+    _classify(p, traj, None)
     return traj
 
 
@@ -224,28 +227,24 @@ def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
     return Signal.from_terms(zip(C.T, f.powers, f.rates), shape=(ev.rank,))
 
 
-def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts,
-                            evaluator: SemigroupEvaluator | None = None) -> Trajectory:
-    """f valued in Z_ran: convolve with S_r, then differentiate p times.
-
-    The shift and p are the ones the evaluator's decomposition picked."""
-    ev = evaluator or build_evaluator(p)
-    require_closed_form(ev, "the convolution route")
+def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts) -> Trajectory:
+    """f valued in Z_ran and x0 in X_ran: convolve with S_r, then
+    differentiate p times, with the evaluator's shift and p."""
+    ev = build_evaluator(p)
     Pz = ev.decomposition.Z_ran.projector()
     off = float(np.max(np.linalg.norm(f.coeffs.T - Pz @ f.coeffs.T, axis=0),
                        initial=0.0))
     if off > LIFT_TOL * max(f.magnitude(), 1.0):
         raise LiftFailed(
             f"inhomogeneity leaves the left range space by {off:.2e}")
-    c0, dist = _project_initial(ev, x0, True)
-    cons = {"projection_distance": dist}
+    c0, _ = _consistent_part(ev, x0, True)
     if ev.rank == 0:
-        return _from_signal(p, Signal.zero(p.n_x), ts, f, consistency=cons)
+        return _from_signal(p, Signal.zero(p.n_x), ts, f, x0=x0)
     f_tilde = _lift_into_xran(ev, f)
     v_tilde = ev.S_coord.matvec(c0) + ev.S_coord.convolve(f_tilde)
     x_coord = v_tilde.derivative(ev.p)
     sig = x_coord.apply(ev.V)
-    return _from_signal(p, sig, ts, f, x0=ev.V @ c0, consistency=cons)
+    return _from_signal(p, sig, ts, f, x0=x0)
 
 
 def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:

@@ -120,10 +120,9 @@ def test_criterion_3_oracle_equivalence(capsys):
         c = rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)
         x0 = ev.V @ (c / np.linalg.norm(c))
         ref = orc.solve(x0)
-        tr = solve_homogeneous(pen, x0, ts, method="decomp", evaluator=ev)
+        tr = solve_homogeneous(pen, x0, ts, method="decomp")
         worst["decomp"] = max(worst["decomp"], _relerr(tr.values, ref(ts)))
-        tr = solve_homogeneous(pen, x0, ts_contour, method="contour",
-                               evaluator=ev)
+        tr = solve_homogeneous(pen, x0, ts_contour, method="contour")
         worst["contour"] = max(worst["contour"],
                                _relerr(tr.values, ref(ts_contour)))
 
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalence(capsys):
              (rng.normal(size=ev.rank), 0, 0.2j)])
         f_ran = fc.apply(pen.E @ ev.V)
         ref = orc.solve(x0, f_ran)
-        tr = solve_inhomogeneous_ran(pen, x0, f_ran, ts, evaluator=ev)
+        tr = solve_inhomogeneous_ran(pen, x0, f_ran, ts)
         worst["convolution"] = max(worst["convolution"],
                                    _relerr(tr.values, ref(ts)))
 

@@ -134,11 +134,12 @@ def test_cli_solve_zero_signal_file(pencil_file, tmp_path, capsys):
         == "classical"
 
 
-@pytest.mark.parametrize("method", ["decomp", "auto"])
+@pytest.mark.parametrize("method", ["decomp", "auto", "contour"])
 def test_cli_solve_inconsistent_start_matches_oracle(tmp_path, capsys,
                                                      method):
     """An inconsistent x0 keeps its differential part and takes the
-    algebraic part the equation forces, as the oracle does."""
+    algebraic part the equation forces, as the oracle does, whichever
+    method solves it."""
     p, orc = make_weierstrass(2, 2, 2, seed=1)
     path, csv_path = str(tmp_path / "w.json"), str(tmp_path / "x.csv")
     write_pencil(path, p)
@@ -150,7 +151,8 @@ def test_cli_solve_inconsistent_start_matches_oracle(tmp_path, capsys,
     assert rep["consistency"]["initial_value_error"] > 1e-2
     ts, vals = parse_trajectory_csv(open(csv_path).read())
     ref = orc.solve(x0)(ts)
-    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+    tol = 1e-9 if method == "contour" else 1e-12
+    assert np.abs(vals - ref).max() <= tol * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8])

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from daesemi import (Pencil, Signal, SubspaceBasis, WeierstrassOracle,
                      bromwich_invert, build_evaluator, contour_for,
-                     cross_check, eval_S_r, hilbert_decomposition,
-                     make_transport, make_weierstrass, restrict_to_kernel,
-                     solve_full, solve_homogeneous, solve_inhomogeneous_ran,
-                     solve_kernel_inhomogeneity, solver, verify_properties)
+                     cp_semigroup, cross_check, eval_S_r,
+                     hilbert_decomposition, make_transport, make_weierstrass,
+                     restrict_to_kernel, solve_full, solve_homogeneous,
+                     solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
+                     solver, verify_properties)
 from daesemi.errors import (BasisMismatch, ClosedFormUnavailable,
+                            DecompositionUnavailable,
                             InconsistentInitialValue, LiftFailed,
                             SolverMismatch)
 
@@ -31,7 +33,7 @@ def test_homogeneous_decomp_matches_oracle():
     p, orc = make_weierstrass(3, 2, 2, seed=30)
     ev = build_evaluator(p)
     x0 = _ran_x0(ev, rng)
-    traj = solve_homogeneous(p, x0, TS, evaluator=ev)
+    traj = solve_homogeneous(p, x0, TS)
     ref = orc.solve(x0)(TS)
     assert np.max(np.abs(traj.values - ref)) < 1e-8 * max(1, np.abs(ref).max())
     assert traj.classification == "classical"
@@ -68,7 +70,7 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
             rng = np.random.default_rng(seed)
             x0 = orc.consistent_x0(rng.normal(size=n) + 1j * rng.normal(size=n))
             ev = build_evaluator(p, backend="contour")
-            traj = solve_homogeneous(p, x0, ts, method="contour", evaluator=ev)
+            traj = solve_homogeneous(p, x0, ts, method="contour")
             exact = orc.solve(x0)
             ref = exact(ts)
             cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts]
@@ -131,7 +133,7 @@ def test_hyperbola_stays_accurate_at_long_times(k):
                    omega_hint=0.0)
         x0 = orc.consistent_x0(rng.normal(size=16) + 1j * rng.normal(size=16))
         ev = build_evaluator(p, backend="contour")
-        traj = solve_homogeneous(p, x0, ts, method="contour", evaluator=ev)
+        traj = solve_homogeneous(p, x0, ts, method="contour")
         ref = orc.solve(x0)(ts)
         err = np.max(np.abs(traj.values - ref)) / np.max(np.abs(ref))
         assert err <= 1e-10, (seed, err)
@@ -179,7 +181,7 @@ def test_default_shift_moves_off_a_finite_eigenvalue(method):
     assert (ev.p, ev.rank) == (2, 1)
     assert ev.decomposition.mu == 3.0 and ev.omega == pytest.approx(2.0)
     ts = np.linspace(0.0, 1.0, 11)
-    traj = solve_homogeneous(p, [1.0, 0.0], ts, method=method, evaluator=ev)
+    traj = solve_homogeneous(p, [1.0, 0.0], ts, method=method)
     exact = np.column_stack([np.exp(2.0 * ts), np.zeros_like(ts)])
     assert np.max(np.abs(traj.values - exact)) < 1e-8 * np.exp(2.0)
     if method == "decomp":
@@ -200,25 +202,63 @@ def test_homogeneous_rejects_inadmissible_x0():
         solve_homogeneous(p, bad, TS)
 
 
+@pytest.mark.parametrize("method", ["decomp", "contour"])
+def test_inconsistent_start_keeps_its_part_along_the_kernel(method):
+    """From x0 = e1, x(0) is the part of x0 in X_ran along X_ker, as in
+    the oracle's Weierstrass coordinates; the orthogonal projection of x0
+    onto X_ran left both methods about 0.2 off the oracle, labelled
+    classical."""
+    p, orc = make_weierstrass(2, 2, 2, seed=1)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    traj = solve_homogeneous(p, x0, ts, method=method, strict=False)
+    ref = orc.solve(x0)(ts)
+    assert np.max(np.abs(traj.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert traj.consistency["initial_value_error"] == pytest.approx(
+        np.linalg.norm(ref[0] - x0), rel=1e-10)
+    with pytest.raises(InconsistentInitialValue):
+        solve_homogeneous(p, x0, ts, method=method)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_every_route_agrees_with_the_oracle_from_inconsistent_starts(n, k):
+    ts = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
+    for seed in range(3):
+        p, orc = make_weierstrass(n // 2, n // 2, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = orc.solve(x0)(ts)
+        scale = np.max(np.abs(ref))
+        trajs = {"full": solve_full(p, x0, Signal.zero(n), ts)}
+        for method in ("decomp", "contour"):
+            trajs[method] = solve_homogeneous(p, x0, ts, method=method,
+                                              strict=False)
+        for method, bound in (("full", 1e-12), ("decomp", 1e-12),
+                              ("contour", 1e-9)):
+            err = np.max(np.abs(trajs[method].values - ref)) / scale
+            assert err <= bound, (method, seed, err)
+            assert trajs[method].consistency["initial_value_error"] \
+                == pytest.approx(np.linalg.norm(ref[0] - x0), rel=1e-8)
+        assert np.array_equal(trajs["decomp"].values, trajs["full"].values)
+
+
 _SINGULAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda p, ev: solve_homogeneous(p, ev.V[:, 0], TS, method="decomp",
-                                     evaluator=ev), ClosedFormUnavailable),
-    (lambda p, ev: solve_inhomogeneous_ran(p, ev.V[:, 0], Signal.zero(p.n_z),
-                                           TS, evaluator=ev),
-     ClosedFormUnavailable),
     # refused before an evaluator is built, which would raise
     # SingularAtLambda on this pencil
-    (lambda p, ev: solve_homogeneous(Pencil(_SINGULAR, _SINGULAR), [1.0, 0.0],
-                                     TS, method="bogus"), ValueError),
-], ids=["decomp", "convolution", "unknown-method"])
+    (lambda: solve_homogeneous(Pencil(_SINGULAR, _SINGULAR), [1.0, 0.0], TS,
+                               method="bogus"), ValueError),
+    # decomp is solve_full, which needs a square pencil; contour serves
+    # rectangular ones
+    (lambda: solve_homogeneous(make_transport(4, 4), np.zeros(8), TS,
+                               method="decomp"), DecompositionUnavailable),
+], ids=["unknown-method", "rectangular-decomp"])
 def test_unusable_route_raises_typed_error(call, error):
-    p, _ = make_weierstrass(3, 2, 2, seed=30)
-    ev = build_evaluator(p, backend="contour")
     with pytest.raises(error):
-        call(p, ev)
+        call()
 
 
 def test_convolution_route_matches_oracle():
@@ -230,7 +270,7 @@ def test_convolution_route_matches_oracle():
     Pz = ev.decomposition.Z_ran.projector()
     f = Signal.from_terms([(Pz @ rng.normal(size=p.n_z), 1, -0.5),
                            (Pz @ rng.normal(size=p.n_z), 0, 0.4j)])
-    traj = solve_inhomogeneous_ran(p, x0, f, TS, evaluator=ev)
+    traj = solve_inhomogeneous_ran(p, x0, f, TS)
     # oracle needs the consistent initial value of the full problem
     ref_sig = orc.solve(traj.signal.value_at_zero(), f)
     ref = ref_sig(TS)
@@ -244,7 +284,7 @@ def test_convolution_route_rejects_offspace_f():
     ker_dir = ev.decomposition.Z_ker.basis[:, 0]
     f = Signal.from_terms([(ker_dir, 0, 0.0)])
     with pytest.raises(LiftFailed):
-        solve_inhomogeneous_ran(p, np.zeros(p.n_x), f, TS, evaluator=ev)
+        solve_inhomogeneous_ran(p, np.zeros(p.n_x), f, TS)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -343,8 +383,9 @@ def test_full_route_homogeneous_agrees_with_semigroup():
     ev = build_evaluator(p)
     x0 = _ran_x0(ev, np.random.default_rng(3))
     t_full = solve_full(p, x0, Signal.zero(p.n_z), TS)
-    t_dec = solve_homogeneous(p, x0, TS, evaluator=ev)
-    assert cross_check(p, t_full, t_dec) < 1e-6
+    semigroup = np.array([cp_semigroup(ev, t) @ x0 for t in TS])
+    assert np.max(np.abs(t_full.values - semigroup)) \
+        < 1e-6 * np.max(np.abs(semigroup))
 
 
 # derandomized: at index 6 with the shift stepped to 3 the kernel route's

@@ -224,8 +224,9 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     once, on first read.  solve_full, the contour solve and cp_semigroup
     read nothing of the left side.  The identity suite reads Z_ran (for
     S_l), and analyze reads the whole left side and the kernels but takes
-    the level ranks from the chains' rank drops.  Neither the contour solve
-    nor the identity suite reads a kernel or a level."""
+    the level ranks from the chains' rank drops.  The contour solve reads
+    X_ker, to take the part of x0 along it; the identity suite reads no
+    kernel, and neither reads a level."""
     calls = dict.fromkeys(("complement_in", "power_kernel", "_range_chain",
                            "hilbert_decomposition", "svd"), 0)
 
@@ -255,11 +256,11 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     assert left_chains() == 0
     verify_properties(build_evaluator(p))
     assert left_chains() == 1
-    assert (calls["complement_in"], calls["power_kernel"]) == (0, 0)
+    assert (calls["complement_in"], calls["power_kernel"]) == (0, 1)
 
     f = Signal.from_terms([(np.ones(6), 1, -0.5)])
     solve_full(p, x0, f, [0.0, 1.0])
-    assert left_chains() == 1 and calls["power_kernel"] == 1
+    assert left_chains() == 1 and calls["power_kernel"] == 2
 
     path = str(tmp_path / "w.json")
     write_pencil(path, p)
@@ -270,7 +271,7 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     assert dec["levels_X"] == dec["levels_Z"] == [2, 1]
     # one left chain, one kernel per side, and no level complement
     assert left_chains() == 2
-    assert (calls["complement_in"], calls["power_kernel"]) == (0, 3)
+    assert (calls["complement_in"], calls["power_kernel"]) == (0, 4)
 
     # at index 1 solve_full takes two SVDs: the two steps of the right
     # chain, whose first also gives X_ker
