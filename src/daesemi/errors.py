@@ -17,10 +17,6 @@ class NotRegularOnRay(DaesemiError):
     """A sample point on the real ray hit a generalized eigenvalue."""
 
 
-class NoStagnation(DaesemiError):
-    """Range sequence still shrinking when the iteration cap was reached."""
-
-
 class BasisMismatch(DaesemiError):
     pass
 

@@ -1,11 +1,11 @@
 """Matrix pencils (E, A), resolvents and index estimation.
 
 The pencil lives between spaces of dimension n_x and n_z.  Square pencils
-admit the resolvent (lam*E - A)^{-1}; rectangular ones are analysis-only and
-use the least-squares (Moore-Penrose) resolvent, which is the discrete
-analogue of an operator that is invertible between function spaces of
-different "coordinate" dimensions.  Square pencils that are solved at many
-shifts are factored once into complex QZ form (``QZForm``).
+admit the resolvent (lam*E - A)^{-1}; rectangular ones use the least-squares
+(Moore-Penrose) resolvent, the discrete analogue of an operator invertible
+between function spaces of different "coordinate" dimensions.  A Pencil
+caches one SVD of E and its first regular shift; square pencils solved at
+many shifts are factored once into complex QZ form (``QZForm``).
 """
 
 from __future__ import annotations
@@ -58,19 +58,35 @@ class Pencil:
         return self.n_x == self.n_z
 
     @cached_property
-    def scale(self) -> float:
-        """||E||_2 + ||A||_2, from two SVDs on first read."""
-        return float(np.linalg.norm(self.E, 2) + np.linalg.norm(self.A, 2))
+    def _E_svd(self) -> tuple:
+        """The one SVD of E (full U and V)."""
+        return np.linalg.svd(self.E)
 
     @cached_property
-    def ker_E(self) -> SubspaceBasis:
-        """Orthonormal basis of ker E, from one SVD on first read."""
-        return svd_split(self.E)[1]
+    def scale(self) -> float:
+        """||E||_2 + ||A||_2."""
+        return float(self._E_svd[1].max(initial=0.0)
+                     + np.linalg.norm(self.A, 2))
 
+    @property
+    def E_split(self) -> tuple:
+        """svd_split(E, scale=scale) and (ran E)^perp, from the SVD of E."""
+        ran, *rest = _split(self._E_svd, self.E.shape, RANK_RCOND, self.scale)
+        return ran, *rest, SubspaceBasis(self._E_svd[0][:, ran.rank:],
+                                         self.n_z)
 
-def default_shift(p: Pencil) -> float:
-    """Two right of the growth hint: the first shift to try."""
-    return (p.omega_hint or 0.0) + 2.0
+    @cached_property
+    def shift(self) -> tuple[float, np.ndarray]:
+        """(mu, (mu E - A)^{-1}) at the first mu = omega_hint + 2 + j,
+        j = 0, 1, ..., n_x, that passes ``resolvent``'s gate: a regular
+        pencil has at most n_x finite eigenvalues, so one of them does."""
+        for j in range(self.n_x + 1):
+            mu = (self.omega_hint or 0.0) + 2.0 + j
+            try:
+                return mu, resolvent(self, mu)
+            except SingularAtLambda:
+                if j == self.n_x:
+                    raise
 
 
 @dataclass(frozen=True)
@@ -101,25 +117,18 @@ def svd_split(M: np.ndarray, rcond: float = RANK_RCOND,
         return (SubspaceBasis(np.zeros((m, 0), dtype=complex), m),
                 SubspaceBasis(np.eye(n, dtype=complex), n), 0.0,
                 SubspaceBasis(np.zeros((n, 0), dtype=complex), n))
-    u, s, vh = np.linalg.svd(M, full_matrices=m < n)
-    rank = int(np.sum(s > max(s[0], scale or 0.0) * rcond))
+    return _split(np.linalg.svd(M, full_matrices=m < n), M.shape, rcond,
+                  scale)
+
+
+def _split(usv: tuple, shape: tuple, rcond: float, scale: float | None):
+    """svd_split's bases from the SVD ``usv`` of a matrix of ``shape``."""
+    (m, n), (u, s, vh) = shape, usv
+    s0 = float(s.max(initial=0.0))
+    rank = int(np.sum(s > max(s0, scale or 0.0) * rcond))
     return (SubspaceBasis(u[:, :rank], m),
-            SubspaceBasis(vh[rank:].conj().T, n), float(s[0]),
+            SubspaceBasis(vh[rank:].conj().T, n), s0,
             SubspaceBasis(vh[:rank].conj().T, n))
-
-
-def power_kernel(R: np.ndarray, k: int, split: tuple) -> SubspaceBasis:
-    """ker R^k, k >= 1, from ``split`` = svd_split(R), the SVD the caller
-    already took: it gives K_1 = ker R, its complement C_1 and ||R||_2.
-    Each of the k - 1 preimage steps K_{j+1} = ker(C_j^H R), with
-    C_j C_j^H = I - P_{K_j}, is one SVD that also gives C_{j+1}, with the
-    rank floor ||R||_2 (one floor ||R||_2^k on R^k would swamp its
-    invertible part once ||R|| is large).
-    """
-    _, K, floor, C = split
-    for _ in range(k - 1):
-        _, K, _, C = svd_split(C.basis.conj().T @ R, scale=floor)
-    return K
 
 
 @dataclass(frozen=True)
@@ -347,7 +356,7 @@ def chain_index(p: Pencil) -> tuple[int, list[Chain]]:
     each extension step is determined only up to ker E.
     """
     n = p.n_x
-    kernel = p.ker_E.basis
+    kernel = p.E_split[1].basis
     if kernel.shape[1] == 0:
         return 0, []
     scale = max(p.scale, 1.0)

@@ -2,15 +2,15 @@
 
 S_r(t) is the p-fold time integral of the solution propagator on X_ran,
 characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
-closed-form backend restricts R_r(mu) to X_ran, inverts it to obtain the
-generator A_R = mu I - (restricted R_r(mu))^{-1}, and integrates the
-matrix exponential analytically.  The contour backend inverts
-R_r(lam) x0 / lam^p numerically and needs no invertibility; on square
-pencils all its samples come from one batched triangular sweep with the
-evaluator's one QZ form.
+closed-form backend integrates exp(t A_R) analytically, A_R the generator
+of the decomposition's split (E V A_R = A V on X_ran).  The contour backend
+inverts R_r(lam) x0 / lam^p numerically and needs no invertibility; on
+square pencils all its samples come from one batched triangular sweep with
+the evaluator's one QZ form.
 
 S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
-way, is built the same two ways from the Z side of the same decomposition.
+way, is built the same two ways from the Z side of the same decomposition,
+its closed form from R_l(mu), apart from A_R.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ def propagator_signal(M: np.ndarray) -> Signal:
     return _combine(outer, [(k, 1, 0, wk) for k, wk in enumerate(w)])
 
 
-def range_generator(R: np.ndarray, basis: np.ndarray, mu) -> np.ndarray:
-    """mu I - (basis^H R basis)^{-1}, the generator of the resolvent R at mu
-    on the span of ``basis``; refused above COND_CAP."""
-    R_restr = basis.conj().T @ R @ basis
-    if not np.linalg.cond(R_restr) <= COND_CAP:
-        raise ClosedFormUnavailable("resolvent singular on the range space")
-    return mu * np.eye(len(R_restr)) - np.linalg.inv(R_restr)
-
-
 @dataclass
 class SemigroupEvaluator:
     """Configured evaluator of S_r(t) (and lazily S_l, S_r^(p))."""
@@ -89,9 +80,12 @@ class SemigroupEvaluator:
 
     @cached_property
     def _S_left(self) -> Signal:
-        """S_l on Z_ran coordinates, from A_L = mu I - (restricted R_l(mu))^{-1}."""
-        dec = self.decomposition
-        A_L = range_generator(dec.R_l, dec.Z_ran.basis, dec.mu)
+        """S_l on Z_ran coordinates: A_L = mu I - (Z^H R_l(mu) Z)^{-1}."""
+        dec, Z = self.decomposition, self.decomposition.Z_ran.basis
+        R = Z.conj().T @ dec.pencil.E @ dec.R_mu @ Z
+        if not np.linalg.cond(R) <= COND_CAP:
+            raise ClosedFormUnavailable("R_l(mu) singular on Z_ran")
+        A_L = dec.mu * np.eye(len(R)) - np.linalg.inv(R)
         return propagator_signal(A_L).antiderivative(self.p)
 
     @cached_property
@@ -126,12 +120,10 @@ def build_evaluator(p: Pencil,
                     backend: str = "closed_form") -> SemigroupEvaluator:
     """The p-times integrated semigroup of p on its range space X_ran.
 
-    The decomposition fixes both numerical choices: the shift mu is the
-    one ``hilbert_decomposition`` picks, and p is ``stagnation_k + 1``,
-    since the range chain of R_r(mu) stops shrinking at the resolvent
-    index, so no separate index estimate is run.  The contour backend stops after the
-    generator and its growth bound; it never reads the closed form, so
-    ``prop`` and ``S_coord`` stay None.
+    The decomposition fixes both: the generator is its A_R, and p is
+    ``stagnation_k + 1``, since Wong's sequences stop at the index.  The
+    contour backend stops after the generator and its growth bound; it
+    never reads the closed form, so ``prop`` and ``S_coord`` stay None.
     """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -140,19 +132,14 @@ def build_evaluator(p: Pencil,
     p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
     r = V.shape[1]
-    A_R = prop = S_coord = None
+    A_R = prop = S_coord = spectrum = None
     if r > 0:
-        try:
-            A_R = range_generator(decomposition.R_r, V, decomposition.mu)
-        except ClosedFormUnavailable:
-            if backend == "closed_form":
-                raise
+        A_R = decomposition.A_R
+        spectrum = np.linalg.eigvals(A_R)
+        omega = max(float(np.max(spectrum.real)), omega)
         if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
-    spectrum = None if A_R is None else np.linalg.eigvals(A_R)
-    if spectrum is not None:
-        omega = max(float(np.max(spectrum.real)), omega)
     return SemigroupEvaluator(pencil=p, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega,
                               V=V, A_R=A_R, prop=prop,
@@ -278,7 +265,7 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     E, A, V, p = ev.pencil.E, ev.pencil.A, ev.V, ev.p
     S = ev.S_coord
     W = ev.decomposition.Z_ran.basis
-    Rr = ev.decomposition.R_r
+    Rr = ev.decomposition.R_mu @ E
     scale = max(ev.pencil.scale, 1.0)
     ts = np.asarray(IDENTITY_GRID, dtype=float)
 

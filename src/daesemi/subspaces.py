@@ -1,14 +1,13 @@
-"""Range/kernel stabilization sequences and the orthogonal decomposition.
+"""Wong's sequences of the pencil and the split X = X_ran + X_ker.
 
-X_k = ran R_r(mu)^k and Z_k = ran R_l(mu)^k shrink until they stagnate; the
-stagnated spaces X_ran, Z_ran carry the dynamics, and X_ran + X_ker is the
-split solve_full solves in.  ``hilbert_decomposition`` alone picks the
-shift mu, and the right chain alone fixes the power stagnation_k.  For
-analysis, the left complements split into levels W_{Z,k} in which the left
-resolvent becomes block upper triangular with zero diagonal blocks below
-the first row.  The kernels, the whole left side and the levels are built
-on first read, so a caller pays only for what it reads: solve_full and the
-evaluator read the right side alone.
+``hilbert_decomposition`` runs Wong's two sequences in lockstep, with no
+shift (Wong, JDE 16 (1974); Berger, Ilchmann & Trenn, LAA 436 (2012)):
+V_{j+1} = {x in V_j : A x in E V_j} shrinks from C^n to V* = X_ran, and
+W_{j+1} = {x : E x in A W_j} grows from 0 to W* = X_ker, up to the index
+stagnation_k.  A rectangular pencil goes through its least-squares square
+reduction (R_mu E, R_mu A).  The left side, the left levels W_{Z,k} in
+which R_l(mu) = E R_mu is block upper triangular, and on a square pencil
+mu and R_mu themselves are built on first read.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import BasisMismatch, NoStagnation, SingularAtLambda
-from .pencil import (Pencil, SubspaceBasis, default_shift, power_kernel,
-                     resolvent, svd_split)
+from .errors import BasisMismatch, SingularAtLambda
+from .pencil import Pencil, SubspaceBasis, svd_split
 
 ANGLE_TOL = 1e-6
 
@@ -51,52 +49,48 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
 
 @dataclass
 class DecompositionReport:
-    """The range chain of R_r(mu), whose length fixes stagnation_k, and
-    everything else on first read: the stabilized kernels (of R^max(k, 1),
-    k the power at which that side's chain stagnates), the left side
-    (R_l(mu) = E R_mu and its chain) and the left levels (W_Z[i] = level
-    i+1, the complement of Z_{i+1} in Z_i)."""
+    """The V iterates, one step past stagnation, and X_ker = W at the index
+    stagnation_k.  On first read: the generator A_R, the pencil's shift mu
+    and R_mu = (mu E - A)^{-1}, the left chain and kernel, and the left
+    levels (W_Z[i] = level i+1, the complement of Z_{i+1} in Z_i)."""
 
-    mu: float
+    pencil: Pencil
+    square: Pencil    # the pencil the split ran on: ``pencil`` or its reduction
     stagnation_k: int
-    X_chain: list[SubspaceBasis]  # X_0 ) X_1 ) ... (index = power k)
-    R_r: np.ndarray   # R_r(mu) = (mu E - A)^{-1} E, on the x-space
-    R_mu: np.ndarray  # (mu E - A)^{-1}
-    E: np.ndarray
-    X_split: tuple    # svd_split(R_r), the X chain's first step
+    X_chain: list[SubspaceBasis]  # V_0 ) V_1 ) ... ) V_k = V_{k+1}
+    X_ker: SubspaceBasis
 
     @property
     def X_ran(self) -> SubspaceBasis:
         return self.X_chain[-1]
 
     @cached_property
-    def X_ker(self) -> SubspaceBasis:
-        return power_kernel(self.R_r, max(self.stagnation_k, 1), self.X_split)
+    def A_R(self) -> np.ndarray:
+        """The split's generator: E V A_R = A V on ``square``, V = X_ran."""
+        V = self.X_ran.basis
+        return np.linalg.lstsq(self.square.E @ V, self.square.A @ V,
+                               rcond=None)[0]
 
     @property
-    def R_l(self) -> np.ndarray:
-        """R_l(mu) = E (mu E - A)^{-1}, on the z-space: one product per
-        read, so the report holds no third n x n matrix for it."""
-        return self.E @ self.R_mu
+    def mu(self) -> float:
+        return self.pencil.shift[0]
+
+    @property
+    def R_mu(self) -> np.ndarray:
+        return self.pencil.shift[1]
 
     @cached_property
-    def _left(self) -> tuple[list[SubspaceBasis], tuple]:
-        """(Z chain, svd_split(R_l)).  R_mu maps onto the x-space, so
-        rank Z_{j+1} = rank E X_j lies between rank X_{j+1} and rank X_j:
-        the left chain stagnates at stagnation_k, or one power later on a
-        tall pencil (on a square one R_mu is invertible and the ranks
-        agree).  A longer left chain raises NoStagnation."""
-        k = self.stagnation_k + (self.E.shape[0] > self.E.shape[1])
-        try:
-            return _range_chain(self.R_l, k + 1)
-        except NoStagnation as exc:
-            raise NoStagnation(
-                f"the left chain outlasts the right one, which stagnates at "
-                f"power {self.stagnation_k}") from exc
-
-    @property
     def Z_chain(self) -> list[SubspaceBasis]:
-        return self._left[0]
+        """Z_0 = C^{n_z} and Z_{j+1} = ran E X_j (= ran R_l(mu)^{j+1}), to
+        one step past stagnation (one step later on a tall pencil)."""
+        p = self.pencil
+        chain = [SubspaceBasis(np.eye(p.n_z, dtype=complex), p.n_z),
+                 p.E_split[0]]
+        for X in self.X_chain[1:]:
+            if chain[-1].rank == chain[-2].rank:
+                break
+            chain.append(svd_split(p.E @ X.basis, scale=p.scale)[0])
+        return chain
 
     @property
     def Z_ran(self) -> SubspaceBasis:
@@ -104,8 +98,12 @@ class DecompositionReport:
 
     @cached_property
     def Z_ker(self) -> SubspaceBasis:
-        return power_kernel(self.R_l, max(len(self.Z_chain) - 2, 1),
-                            self._left[1])
+        """ran [A X_ker | ker R_mu]; ker R_mu = 0 on a square pencil."""
+        p = self.pencil
+        M = p.A @ self.X_ker.basis
+        if not p.is_square:
+            M = np.hstack([M, svd_split(self.R_mu)[1].basis])
+        return svd_split(M, scale=p.scale)[0]
 
     # a chain ends one step past stagnation, so it holds one level per power
     @cached_property
@@ -113,43 +111,59 @@ class DecompositionReport:
         return list(map(complement_in, self.Z_chain, self.Z_chain[1:-1]))
 
 
-def _range_chain(R: np.ndarray, p_max: int
-                 ) -> tuple[list[SubspaceBasis], tuple]:
-    """(ran R^j for j = 0, 1, ... one step past stagnation, svd_split(R));
-    the first step's ||R||_2 is the rank floor of the later ones."""
-    n = R.shape[0]
-    split = svd_split(R)
-    chain = [SubspaceBasis(np.eye(n, dtype=complex), n), split[0]]
-    while chain[-1].rank != chain[-2].rank:
-        if len(chain) > p_max:
-            raise NoStagnation(f"ranks still decreasing after {p_max} steps")
-        chain.append(svd_split(R @ chain[-1].basis, scale=split[2])[0])
-    return chain, split
+def _disjoint(V: np.ndarray, C: np.ndarray) -> bool:
+    """span V and (span C)^perp split the space at angles above ANGLE_TOL."""
+    return V.shape[1] == C.shape[1] and (V.shape[1] == 0 or np.linalg.svd(
+        C.conj().T @ V, compute_uv=False)[-1] > ANGLE_TOL)
+
+
+def _advance(s: list, scale: float) -> np.ndarray:
+    """keep = ker(D^H H), D^H H of full row rank, and [M, H] <- P^H [M, H]
+    keep, for s = [M, H, P, D], P and D bases of ran M and its complement."""
+    M, H, P, D = s
+    out, keep = svd_split(D.conj().T @ H, scale=scale)[:2]
+    if out.rank != D.shape[1]:
+        raise SingularAtLambda("singular pencil: a Wong step lost rank")
+    s[:2] = (P.conj().T @ X @ keep.basis for X in (M, H))
+    return keep.basis
 
 
 def hilbert_decomposition(p: Pencil) -> DecompositionReport:
-    """The range chain of R_r(mu) and its stagnation power; the left side
-    is built when first read.
+    """The Wong split of p (of its least-squares reduction (R_mu E, R_mu A)
+    at the pencil's shift if rectangular): V_0, ..., V_k, V_k and W_k, k the
+    index, the first j at which V_j meets neither W_j nor ker E.
 
-    The shift mu is the first default_shift(p) + j, j = 0, 1, ..., n_x, at
-    which ``resolvent`` is regular: a regular pencil has at most n_x finite
-    eigenvalues, so one of them is.  The shift used is ``rep.mu``.
+    In coordinates, with one SVD of about dim V_j x dim V_j per sequence
+    and step: V: for U a basis of E V_{j-1}, M = U^H E V_j splits U into
+    U P = ran E V_j and U D, and V_{j+1} = V_j ker(D^H U^H A V_j).  W: the
+    same step on the adjoint, M = C^H E^H G for C and G bases of W_j^perp
+    and (A W_j)^perp, adds C D to W and leaves C P.  At j = 0 both splits
+    come from the pencil's SVD of E.  Ranks are cut at the floor q.scale.
+    A step that loses rank, or changes nothing while V_j and W_j meet (it
+    would repeat for ever), raises SingularAtLambda.
     """
-    for j in range(p.n_x + 1):
-        mu = default_shift(p) + j
-        try:
-            R_mu = resolvent(p, mu)
-            break
-        except SingularAtLambda:
-            if j == p.n_x:
-                raise
-    Rr = R_mu @ p.E
-    X_chain, X_split = _range_chain(Rr, max(p.n_x, p.n_z) + 1)
-    # X_k = X_{k+1} exactly once ranks agree (nested ranges), so the chain
-    # ends one step past stagnation; report the stagnation power.
-    return DecompositionReport(mu=mu, stagnation_k=len(X_chain) - 2,
-                               X_chain=X_chain, R_r=Rr, R_mu=R_mu, E=p.E,
-                               X_split=X_split)
+    q = p if p.is_square else Pencil(p.shift[1] @ p.E, p.shift[1] @ p.A)
+    n, scale = q.n_x, q.scale
+    ranE, kerE, _, coimE, cokerE = q.E_split
+    v = [q.E, q.A, ranE.basis, cokerE.basis]
+    w = [q.E.conj().T, q.A.conj().T, coimE.basis, kerE.basis]
+    V = [np.eye(n, dtype=complex)]
+    W, C = np.zeros((n, 0), dtype=complex), V[0]
+    while kerE.rank if len(V) == 1 else not _disjoint(V[-1], C):
+        if len(V) > 1:
+            for s in (v, w):
+                _, D, _, P = svd_split(s[0].conj().T, scale=scale)
+                s[2:] = P.basis, D.basis
+        keep = _advance(v, scale)
+        if not w[3].shape[1] and keep.shape[1] == V[-1].shape[1]:
+            raise SingularAtLambda("Wong's sequences stagnate before V_j "
+                                   "and W_j split the space")
+        V.append(V[-1] @ keep)
+        W, C = np.hstack([W, C @ w[3]]), C @ w[2]
+        _advance(w, scale)
+    V = [SubspaceBasis(b, n) for b in V]
+    return DecompositionReport(pencil=p, square=q, stagnation_k=len(V) - 1,
+                               X_chain=V + V[-1:], X_ker=SubspaceBasis(W, n))
 
 
 def decomposition_basis(rep: DecompositionReport) -> np.ndarray:
@@ -174,7 +188,7 @@ def block_left_resolvent(rep: DecompositionReport):
     tracing.
     """
     U = decomposition_basis(rep)
-    Rl = rep.R_l
+    Rl = rep.pencil.E @ rep.R_mu
     B = U.conj().T @ Rl @ U
     sizes = [rep.Z_ran.rank] + [w.rank for w in reversed(rep.W_Z)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -201,7 +215,7 @@ class DisjointnessFlags:
 
 def angle_to_kerE(X_ran: SubspaceBasis, p: Pencil) -> float:
     """Smallest principal angle between X_ran and ker E (pi/2 if trivial)."""
-    ang = principal_angles(X_ran, p.ker_E)
+    ang = principal_angles(X_ran, p.E_split[1])
     return float(ang[0]) if ang.size else np.pi / 2
 
 

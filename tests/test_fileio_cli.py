@@ -169,6 +169,20 @@ def test_cli_analyze_at_high_index(tmp_path, capsys, k):
     assert dec["levels_X"] == dec["levels_Z"] == [9 - k] + [1] * (k - 1)
 
 
+def test_cli_solve_at_index_20(tmp_path, capsys):
+    """The example pencil of index 20 solves classically from x0 = 1; the
+    shifted range chain gave classification none, a classical residual of
+    0.46 and an initial-value error of 8e10 here, with exit code 0."""
+    path = str(tmp_path / "w.json")
+    assert main(["example", "weierstrass", "--ns", "2", "--nn", "20",
+                 "--k", "20", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", path, "--x0=" + ",".join(["1"] * 22)]) == 0
+    rep = json.loads(capsys.readouterr().out)["solver"]
+    assert rep["classification"] == "classical"
+    assert rep["classical_residual"] <= 1e-12
+
+
 @pytest.mark.parametrize("term", [
     {"coeff": [[float("nan"), 0.0], [1.0, 0.0]], "power": 0, "rate": [0.0, 0.0]},
     {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": float("nan"), "rate": [0.0, 0.0]},

@@ -1,6 +1,5 @@
-"""Stabilized range chains, decomposition levels and block structure."""
+"""Wong's split, the left chains and levels, and block structure."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -11,10 +10,10 @@ from daesemi import (Pencil, Signal, SubspaceBasis, build_evaluator,
                      intersection_dim, make_hamiltonian, make_transport,
                      make_weierstrass, principal_angles, restrict_to_kernel,
                      solve_full, solve_homogeneous, verify_properties)
-from daesemi import cli, kernel, semigroup, solver, subspaces
+from daesemi import semigroup, solver, subspaces
 from daesemi import pencil as pencil_module
 from daesemi.cli import _levels, main
-from daesemi.errors import NoStagnation
+from daesemi.errors import SingularAtLambda
 from daesemi.fileio import write_pencil
 from daesemi.pencil import svd_split
 from daesemi.subspaces import (block_left_resolvent, complement_in,
@@ -152,24 +151,53 @@ CHAIN_CASES = {
 
 @pytest.mark.parametrize("case", CHAIN_CASES)
 def test_left_chain_ranks_match_the_right(case):
-    """rank Z_j = rank X_j for j >= 1 on every generator pencil (exact on a
-    square one: R_l^j = E R_r^(j-1) R_mu with R_mu invertible), so the
-    right chain alone fixes stagnation_k."""
+    """rank Z_j = rank X_j for j >= 1 on every generator pencil (on a
+    square one Z_{j+1} = E X_j, and in Weierstrass coordinates E X_j and
+    X_{j+1} both have dimension n_s + rank N^{j+1}), and the X chain ends
+    one step past stagnation_k."""
     rep = hilbert_decomposition(CHAIN_CASES[case]())
     assert ([z.rank for z in rep.Z_chain[1:]]
             == [x.rank for x in rep.X_chain[1:]])
     assert len(rep.X_chain) == rep.stagnation_k + 2
 
 
-def test_left_chain_longer_than_the_right_raises():
-    rep = hilbert_decomposition(nilpotent_of_index(3))
-    assert rep.stagnation_k == 3
-    # one power short: a square pencil's left chain gets no extra power
-    short = dataclasses.replace(rep, stagnation_k=2, X_chain=rep.X_chain[:4])
-    for read in ("Z_chain", "Z_ran", "Z_ker", "W_Z"):
-        with pytest.raises(NoStagnation, match="outlasts"):
-            getattr(short, read)
-    assert short.stagnation_k == 2
+def _mixed(E, A, seed=0):
+    """(T E S, T A S) for seeded random T and S."""
+    rng = np.random.default_rng(seed)
+    T, S = rng.normal(size=(2,) + E.shape)
+    return Pencil(T @ E @ S, T @ A @ S)
+
+
+SINGULAR_CASES = {
+    # a zero row and a zero column: (ran E)^perp A has a zero row
+    "diag(0,1)": Pencil(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])),
+    "E=A=N": Pencil(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                    np.array([[0.0, 1.0], [0.0, 0.0]])),
+    # Kronecker blocks L_1 + L_1^T, mixed: the first step passes, and A
+    # maps W_2 (all of L_1's columns) onto one row
+    "L1+L1T": _mixed(np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+                     np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 1]])),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_CASES)
+def test_singular_pencils_refused_by_the_split(case):
+    """The split refuses a singular pencil by itself: no resolvent is
+    formed first to do it."""
+    p = SINGULAR_CASES[case]
+    with pytest.raises(SingularAtLambda, match="lost rank"):
+        hilbert_decomposition(p)
+    with pytest.raises(SingularAtLambda, match="lost rank"):
+        solve_full(p, np.ones(p.n_x), Signal.zero(p.n_z), [0.0, 1.0])
+
+
+def test_step_that_changes_nothing_is_refused(monkeypatch):
+    """Were the disjointness test never to pass, the first step past the
+    index changes neither sequence, and the split raises instead of
+    looping."""
+    monkeypatch.setattr(subspaces, "_disjoint", lambda V, C: False)
+    with pytest.raises(SingularAtLambda, match="stagnate"):
+        hilbert_decomposition(make_weierstrass(2, 3, 3, seed=0)[0])
 
 
 def test_tall_pencil_left_chain_one_power_later():
@@ -218,17 +246,15 @@ def test_transport_structure():
     assert angz.max() < 1e-8
 
 
-def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
-                                                 capsys):
-    """Every decomposition builds its right chain; the left chain is built
-    once, on first read.  solve_full, the contour solve and cp_semigroup
-    read nothing of the left side.  The identity suite reads Z_ran (for
-    S_l), and analyze reads the whole left side and the kernels but takes
-    the level ranks from the chains' rank drops.  The contour solve reads
-    X_ker, to take the part of x0 along it; the identity suite reads no
-    kernel, and neither reads a level."""
-    calls = dict.fromkeys(("complement_in", "power_kernel", "_range_chain",
-                           "hilbert_decomposition", "svd"), 0)
+def test_resolvent_and_left_side_built_only_when_read(monkeypatch, tmp_path,
+                                                     capsys):
+    """On a square pencil the split forms no resolvent: solve_full, both
+    solve_homogeneous methods, build_evaluator and cp_semigroup make no
+    resolvent call and build no left side.  The identity suite forms
+    R(mu) once, for (a) and S_l, and reads Z_ran; analyze builds the left
+    side once and takes the level ranks from the chains' rank drops."""
+    calls = dict.fromkeys(("resolvent", "Z_chain", "Z_ker", "complement_in",
+                           "svd"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -236,31 +262,24 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
             return fn(*args, **kwargs)
         return wrapper
 
-    def left_chains():
-        return calls["_range_chain"] - calls["hilbert_decomposition"]
-
-    for name in ("complement_in", "_range_chain"):
-        monkeypatch.setattr(subspaces, name,
-                            counted(name, getattr(subspaces, name)))
-    decompose = counted("hilbert_decomposition",
-                        subspaces.hilbert_decomposition)
-    for module in (subspaces, solver, semigroup, kernel, cli):
-        monkeypatch.setattr(module, "hilbert_decomposition", decompose)
-    power_kernel = counted("power_kernel", pencil_module.power_kernel)
-    for module in (pencil_module, subspaces):
-        monkeypatch.setattr(module, "power_kernel", power_kernel)
+    resolvent = counted("resolvent", pencil_module.resolvent)
+    for module in (pencil_module, solver, semigroup):
+        monkeypatch.setattr(module, "resolvent", resolvent)
+    for name in ("Z_chain", "Z_ker"):
+        prop = vars(subspaces.DecompositionReport)[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    monkeypatch.setattr(subspaces, "complement_in",
+                        counted("complement_in", subspaces.complement_in))
     p, orc = make_weierstrass(3, 3, 2, seed=3)
     x0 = orc.consistent_x0(np.arange(1.0, 7.0))
-    solve_homogeneous(p, x0, [0.0, 0.5, 1.0], method="contour")
-    cp_semigroup(build_evaluator(p), 0.5)
-    assert left_chains() == 0
-    verify_properties(build_evaluator(p))
-    assert left_chains() == 1
-    assert (calls["complement_in"], calls["power_kernel"]) == (0, 1)
-
     f = Signal.from_terms([(np.ones(6), 1, -0.5)])
     solve_full(p, x0, f, [0.0, 1.0])
-    assert left_chains() == 1 and calls["power_kernel"] == 2
+    for method in ("decomp", "contour"):
+        solve_homogeneous(p, x0, [0.0, 0.5, 1.0], method=method)
+    cp_semigroup(build_evaluator(p), 0.5)
+    assert (calls["resolvent"], calls["Z_chain"], calls["Z_ker"]) == (0, 0, 0)
+    verify_properties(build_evaluator(p))
+    assert (calls["resolvent"], calls["Z_chain"], calls["Z_ker"]) == (1, 1, 0)
 
     path = str(tmp_path / "w.json")
     write_pencil(path, p)
@@ -269,14 +288,15 @@ def test_kernels_and_levels_built_only_when_read(monkeypatch, tmp_path,
     assert (dec["stagnation_k"], dec["dim_X_ran"], dec["dim_Z_ran"],
             dec["dim_X_ker"], dec["dim_Z_ker"]) == (2, 3, 3, 3, 3)
     assert dec["levels_X"] == dec["levels_Z"] == [2, 1]
-    # one left chain, one kernel per side, and no level complement
-    assert left_chains() == 2
-    assert (calls["complement_in"], calls["power_kernel"]) == (0, 4)
+    # analyze's mu, one left chain and kernel, and no level complement
+    assert (calls["resolvent"], calls["Z_chain"], calls["Z_ker"],
+            calls["complement_in"]) == (2, 2, 1, 0)
 
-    # at index 1 solve_full takes two SVDs: the two steps of the right
-    # chain, whose first also gives X_ker
+    # at index 1 solve_full takes four SVDs, all in the split: that of E
+    # (both first steps), the first V step's, the first W step's and the
+    # disjointness test at j = 1
     p1, orc1 = make_weierstrass(3, 3, 1, seed=3)
     x1 = orc1.consistent_x0(np.arange(1.0, 7.0))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     solve_full(p1, x1, f, [0.0, 1.0])
-    assert calls["svd"] == 2 and left_chains() == 2
+    assert calls["svd"] == 4 and calls["resolvent"] == 2
