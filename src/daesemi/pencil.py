@@ -4,8 +4,11 @@ The pencil lives between spaces of dimension n_x and n_z.  Square pencils
 admit the resolvent (lam*E - A)^{-1}; rectangular ones use the least-squares
 (Moore-Penrose) resolvent, the discrete analogue of an operator invertible
 between function spaces of different "coordinate" dimensions.  A Pencil
-caches one SVD of E and its first regular shift; square pencils solved at
-many shifts are factored once into complex QZ form (``QZForm``).
+caches ran E, ker E and its scale from one SVD of E, and its first regular
+shift.  Square pencils solved at many shifts are factored once into complex
+QZ form (``QZForm``); rectangular ones are solved at many nodes by one QR
+least-squares solve each, gated by LAPACK's ztrcon condition estimate
+(``least_squares_at``).
 """
 
 from __future__ import annotations
@@ -58,22 +61,30 @@ class Pencil:
         return self.n_x == self.n_z
 
     @cached_property
-    def _E_svd(self) -> tuple:
-        """The one SVD of E (full U and V)."""
-        return np.linalg.svd(self.E)
+    def E_split(self) -> tuple:
+        """(ran E, ker E, scale): what the pencil keeps of ``split_E``."""
+        return self.split_E()[:3]
 
-    @cached_property
-    def scale(self) -> float:
-        """||E||_2 + ||A||_2."""
-        return float(self._E_svd[1].max(initial=0.0)
-                     + np.linalg.norm(self.A, 2))
+    def split_E(self) -> tuple:
+        """(ran E, ker E, scale, coim E, coker E) from one SVD of E, its rank
+        cut as svd_split's at the floor scale = ||E||_2 + ||A||_2.
+
+        The complements are read once, by the Wong split's first step; the
+        pencil keeps only the first three, as ``E_split``, so that later
+        reads take no SVD and hold no singular vectors.
+        """
+        u, s, vh = np.linalg.svd(self.E)
+        scale = float(s.max(initial=0.0) + np.linalg.norm(self.A, 2))
+        ran, ker, _, coim = _split((u, s, vh), self.E.shape, RANK_RCOND,
+                                   scale)
+        kept = SubspaceBasis(ran.basis.copy(), self.n_z), ker, scale
+        self.__dict__["E_split"] = kept  # E_split's cache
+        return (*kept, coim, SubspaceBasis(u[:, ran.rank:], self.n_z))
 
     @property
-    def E_split(self) -> tuple:
-        """svd_split(E, scale=scale) and (ran E)^perp, from the SVD of E."""
-        ran, *rest = _split(self._E_svd, self.E.shape, RANK_RCOND, self.scale)
-        return ran, *rest, SubspaceBasis(self._E_svd[0][:, ran.rank:],
-                                         self.n_z)
+    def scale(self) -> float:
+        """||E||_2 + ||A||_2."""
+        return self.E_split[2]
 
     @cached_property
     def shift(self) -> tuple[float, np.ndarray]:
@@ -270,6 +281,38 @@ def _upper_sweep(pair: np.ndarray, lams: np.ndarray, d: np.ndarray,
              ).reshape(2, K, m)
         Y[i] = (R[i] - lam * s[0] + s[1]) / d[i][:, None]
     return Y
+
+
+def least_squares_at(p: Pencil, lams, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of (lam_k E - A) x = b for every lam_k in
+    ``lams``, one row each, node by node: one Householder QR
+    lam_k E - A = Q R (Golub & Van Loan, Matrix Computations, 5.3), then
+    R x = Q^H b by back-substitution.
+
+    Each node is gated as QZForm.solve_at gates a square one: it raises
+    SingularAtLambda unless LAPACK's ztrcon estimate of R's 1-norm
+    reciprocal condition (Higham, ACM TOMS 14, 1988) is at least
+    1 / SAMPLE_COND_CAP; an exact zero pivot gives 0.  Only one node's
+    matrices are held at a time.  A wide pencil has no node of full column
+    rank and is refused at once.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    c = np.asarray(b, dtype=complex)[:, None]
+    n = p.n_x
+    if p.n_z < n:
+        raise SingularAtLambda(f"wide pencil {p.E.shape}: no node has full "
+                               "column rank")
+    geqrf, unmqr, trcon, trtrs = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "unmqr", "trcon", "trtrs"), (p.E, c))
+    out = np.empty((len(lams), n), dtype=complex)
+    for k, lam in enumerate(lams):
+        qr, tau, _, _ = geqrf(lam * p.E - p.A, overwrite_a=True)
+        rcond, _ = trcon(qr[:n])
+        if not rcond >= 1.0 / SAMPLE_COND_CAP:
+            raise SingularAtLambda(f"rcond {rcond:.2e} at lambda={lam}")
+        qhb, _, _ = unmqr("L", "C", qr, tau, c, 1)
+        out[k] = trtrs(qr[:n], qhb[:n])[0][:, 0]
+    return out
 
 
 def right_resolvent(p: Pencil, lam: complex) -> np.ndarray:

@@ -6,7 +6,8 @@ closed-form backend integrates exp(t A_R) analytically, A_R the generator
 of the decomposition's split (E V A_R = A V on X_ran).  The contour backend
 inverts R_r(lam) x0 / lam^p numerically and needs no invertibility; on
 square pencils all its samples come from one batched triangular sweep with
-the evaluator's one QZ form.
+the evaluator's one QZ form, on rectangular ones from one QR least-squares
+solve per node.
 
 S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
 way, is built the same two ways from the Z side of the same decomposition,
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
-from .pencil import COND_CAP, SAMPLE_COND_CAP, Pencil, QZForm, resolvent
+from .pencil import COND_CAP, Pencil, QZForm, least_squares_at
 from .signals import Signal, _combine
 from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
                         hilbert_decomposition)
@@ -147,14 +148,14 @@ def build_evaluator(p: Pencil,
 
 
 def _pencil_solver(ev: SemigroupEvaluator, b: np.ndarray):
-    """lams -> (lam_k E - A)^{-1} b as rows, refused above SAMPLE_COND_CAP:
-    one batched triangular sweep with the evaluator's QZ form, factored on
-    first use, on square pencils; the least-squares resolvent node by node
-    on rectangular ones."""
+    """lams -> (lam_k E - A)^{-1} b as rows, each node refused when its
+    1-norm condition estimate exceeds SAMPLE_COND_CAP: one batched
+    triangular sweep with the evaluator's QZ form, factored on first use,
+    on square pencils; one QR least-squares solve per node, gated by
+    ztrcon, on rectangular ones (``least_squares_at``)."""
     pen = ev.pencil
     if not pen.is_square:
-        return lambda lams: np.array(
-            [resolvent(pen, lam, cond_cap=SAMPLE_COND_CAP) @ b for lam in lams])
+        return lambda lams: least_squares_at(pen, lams, b)
     return lambda lams: ev._qz.solve_at(lams, b)
 
 

@@ -177,7 +177,9 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     (hyperbola) or 109 (line) nodes of every output time, a long grid in
     blocks of about SWEEP_ENTRIES node entries: on square pencils one
     batched back-substitution with the evaluator's QZ form, gated node by
-    node by a batched 1-norm condition estimate (``QZForm.solve_at``).
+    node by a batched 1-norm condition estimate (``QZForm.solve_at``); on
+    rectangular ones one QR least-squares solve per node, gated by LAPACK's
+    ztrcon estimate for R (``pencil.least_squares_at``).
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")

@@ -138,13 +138,14 @@ def hilbert_decomposition(p: Pencil) -> DecompositionReport:
     U P = ran E V_j and U D, and V_{j+1} = V_j ker(D^H U^H A V_j).  W: the
     same step on the adjoint, M = C^H E^H G for C and G bases of W_j^perp
     and (A W_j)^perp, adds C D to W and leaves C P.  At j = 0 both splits
-    come from the pencil's SVD of E.  Ranks are cut at the floor q.scale.
+    come from the pencil's one SVD of E (``Pencil.split_E``).  Ranks are
+    cut at the floor q.scale.
     A step that loses rank, or changes nothing while V_j and W_j meet (it
     would repeat for ever), raises SingularAtLambda.
     """
     q = p if p.is_square else Pencil(p.shift[1] @ p.E, p.shift[1] @ p.A)
-    n, scale = q.n_x, q.scale
-    ranE, kerE, _, coimE, cokerE = q.E_split
+    n = q.n_x
+    ranE, kerE, scale, coimE, cokerE = q.split_E()
     v = [q.E, q.A, ranE.basis, cokerE.basis]
     w = [q.E.conj().T, q.A.conj().T, coimE.basis, kerE.basis]
     V = [np.eye(n, dtype=complex)]

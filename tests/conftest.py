@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from daesemi import Pencil, WeierstrassOracle, make_weierstrass
+from daesemi import Pencil, WeierstrassOracle, make_transport, make_weierstrass
 
 
 @pytest.fixture
@@ -35,3 +35,16 @@ def weierstrass_with_mode(n_s: int, n_n: int, k: int, seed: int,
     E = orc.T @ scipy.linalg.block_diag(np.eye(n_s), orc.N) @ orc.S
     A = orc.T @ scipy.linalg.block_diag(J, np.eye(n_n)) @ orc.S
     return Pencil(E, A, omega_hint=0.0, name=f"mode({n_s},{n_n},{k})"), orc
+
+
+def mixed_transport(n: int, m: int, seed: int) -> Pencil:
+    """make_transport(n, m) with its rows mixed by a seeded unitary, as the
+    benchmark draws it: the same solutions and singular values of
+    lam E - A, but no zero or identity block left in E."""
+    base = make_transport(n, m)
+    nz = base.n_z
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(nz, nz))
+                        + 1j * rng.normal(size=(nz, nz)))
+    return Pencil(Q @ base.E, Q @ base.A, omega_hint=base.omega_hint,
+                  name=base.name)

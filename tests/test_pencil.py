@@ -10,9 +10,10 @@ from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
                      make_transport, make_weierstrass, resolvent,
                      right_resolvent)
 from daesemi.errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
-from daesemi.pencil import RANK_RCOND, SAMPLE_COND_CAP, QZForm
+from daesemi.pencil import (RANK_RCOND, SAMPLE_COND_CAP, QZForm,
+                            least_squares_at)
 
-from conftest import nilpotent_of_index
+from conftest import mixed_transport, nilpotent_of_index
 
 
 def test_shape_validation():
@@ -188,6 +189,40 @@ def test_qz_shifted_solve_matches_resolvent(k):
             ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
             tol = max(1e-10, 1e-14 * np.linalg.cond(M))
             assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_least_squares_at_matches_resolvent(mixed):
+    """Every node of the line and of the hyperbola on a rectangular
+    transport pencil (rows mixed by a unitary at 24 x 24, as the benchmark
+    draws it): the QR solve agrees with the least-squares resolvent to
+    1e-10 relative, or to 1e-14 * cond where the node is ill-conditioned."""
+    p = mixed_transport(24, 24, seed=3) if mixed else make_transport(4, 3)
+    ev = build_evaluator(p, backend="contour")
+    rng = np.random.default_rng(5)
+    b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
+    for t in (0.25, 1.0, 1.5):
+        lams = (_contour_nodes(t, ev.omega)
+                + _contour_nodes(t, ev.omega, ev.spectrum))
+        for lam, x in zip(lams, least_squares_at(p, lams, b)):
+            ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
+            tol = max(1e-10, 1e-14 * np.linalg.cond(lam * p.E - p.A))
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_least_squares_at_refuses_rank_deficient_nodes():
+    # -4 is the eigenvalue of make_transport(4, 4); a zero column leaves
+    # lam E - A rank-deficient at every lam, an exact zero pivot of R
+    p = make_transport(4, 4)
+    with pytest.raises(SingularAtLambda, match=r"lambda=\(-4"):
+        least_squares_at(p, [1.0, -4.0], np.ones(p.n_z))
+    E = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(SingularAtLambda, match=r"rcond 0\.00e\+00"):
+        least_squares_at(Pencil(E, A), [2.0], np.ones(3))
+    # a wide pencil: no node has full column rank
+    with pytest.raises(SingularAtLambda, match="wide"):
+        least_squares_at(Pencil(E.T, A.T), [2.0], np.ones(2))
 
 
 def test_qz_shifted_solve_raises_at_eigenvalue(diag_pencil):

@@ -11,7 +11,8 @@ from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      f_norm, forward_laplace, make_hamiltonian,
                      make_transport, make_weierstrass, right_resolvent,
                      verify_properties)
-from daesemi import semigroup
+from daesemi import pencil as pencil_module
+from daesemi import semigroup, solver
 from daesemi.errors import NotInXran
 from daesemi.pencil import QZForm
 from daesemi.signals import Signal
@@ -209,6 +210,38 @@ def test_cp_semigroup_decides_disjointness_once(monkeypatch):
     cp_semigroup(ev, 0.6)
     cp_semigroup(ev, 1.0)
     assert first <= 1 and len(calls) == first
+
+
+def test_rectangular_contour_takes_no_svd_per_node(monkeypatch):
+    """A contour solve on a rectangular pencil calls the resolvent at most
+    once, for the shift, and takes as many SVDs at 6 output times as at 4:
+    its nodes are QR solves (``least_squares_at``)."""
+    svd, resolvent = np.linalg.svd, pencil_module.resolvent
+    calls = {"svd": 0, "resolvent": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    for module in (pencil_module, semigroup, solver):  # wherever bound
+        if hasattr(module, "resolvent"):
+            monkeypatch.setattr(module, "resolvent",
+                                counted("resolvent", resolvent))
+    x1 = np.linspace(0.0, 1.0, 16)
+    x0 = np.concatenate([x1, np.full(16, x1[-1])])
+    counts = []
+    for steps in (4, 6):
+        calls.update(svd=0, resolvent=0)
+        traj = solver.solve_homogeneous(make_transport(16, 16), x0,
+                                        np.linspace(0.0, 1.0, steps),
+                                        method="contour")
+        assert traj.classification == "classical"
+        counts.append(dict(calls))
+    assert all(c["resolvent"] <= 1 for c in counts)
+    assert counts[0]["svd"] == counts[1]["svd"]
 
 
 def test_evaluator_attributes_read_by_the_benchmark():

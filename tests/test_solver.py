@@ -18,7 +18,7 @@ from daesemi.errors import (BasisMismatch, ClosedFormUnavailable,
                             InconsistentInitialValue, LiftFailed,
                             SolverMismatch)
 
-from conftest import weierstrass_with_mode
+from conftest import mixed_transport, weierstrass_with_mode
 
 TS = np.linspace(0.0, 5.0, 41)
 
@@ -157,18 +157,21 @@ def _transport_reference(p, n, x0, ts):
 @pytest.mark.parametrize("seed", range(8))
 def test_stiff_transport_contour_is_certified_pointwise(seed):
     # x1(0) = 0 and x2 = x1(1): consistent start data on a stiff upwind
-    # line, certified classical whatever the output grid
-    p = make_transport(16, 16)
+    # line, certified classical whatever the output grid; also on the
+    # benchmark's pencil, make_transport(24, 24) with its rows mixed by a
+    # unitary, which leaves the solution as it is
     rng = np.random.default_rng(seed)
-    x1 = rng.normal(size=16)
-    x1[0] = 0.0
-    x0 = np.concatenate([x1, np.full(16, x1[-1])])
     ts = np.linspace(0.0, 1.0, 4 if seed % 2 == 0 else 6)
-    traj = solve_homogeneous(p, x0, ts, method="contour", strict=False)
-    ref = _transport_reference(p, 16, x0, ts)
-    assert np.max(np.abs(traj.values - ref)) <= 1e-10 * np.max(np.abs(ref))
-    assert traj.classification == "classical"
-    assert traj.classical_res <= 1e-12
+    for n, p in ((16, make_transport(16, 16)),
+                 (24, mixed_transport(24, 24, seed))):
+        x1 = rng.normal(size=n)
+        x1[0] = 0.0
+        x0 = np.concatenate([x1, np.full(n, x1[-1])])
+        traj = solve_homogeneous(p, x0, ts, method="contour", strict=False)
+        ref = _transport_reference(make_transport(n, n), n, x0, ts)
+        assert np.max(np.abs(traj.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert traj.classification == "classical"
+        assert traj.classical_res <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["decomp", "contour"])

@@ -10,7 +10,7 @@ from daesemi import (Pencil, Signal, SubspaceBasis, build_evaluator,
                      intersection_dim, make_hamiltonian, make_transport,
                      make_weierstrass, principal_angles, restrict_to_kernel,
                      solve_full, solve_homogeneous, verify_properties)
-from daesemi import semigroup, solver, subspaces
+from daesemi import solver, subspaces
 from daesemi import pencil as pencil_module
 from daesemi.cli import _levels, main
 from daesemi.errors import SingularAtLambda
@@ -19,7 +19,7 @@ from daesemi.pencil import svd_split
 from daesemi.subspaces import (block_left_resolvent, complement_in,
                                decomposition_basis)
 
-from conftest import nilpotent_of_index
+from conftest import mixed_transport, nilpotent_of_index
 
 _rng = np.random.default_rng(0)
 SPLIT_CASES = {
@@ -125,17 +125,6 @@ def test_stabilized_kernel_at_high_index(n, k):
     assert restrict_to_kernel(p).dim == m
 
 
-def _mixed_transport(n, m, seed):
-    """make_transport with its rows mixed by a seeded unitary, as the
-    benchmark's CLI workload draws it."""
-    base = make_transport(n, m)
-    rng = np.random.default_rng(seed)
-    nz = base.n_z
-    Q = np.linalg.qr(rng.normal(size=(nz, nz))
-                     + 1j * rng.normal(size=(nz, nz)))[0]
-    return Pencil(Q @ base.E, Q @ base.A, omega_hint=base.omega_hint)
-
-
 CHAIN_CASES = {
     **{f"weierstrass-8-8-{k}-seed{s}":
        (lambda k=k, s=s: make_weierstrass(8, 8, k, seed=s)[0])
@@ -145,7 +134,7 @@ CHAIN_CASES = {
        for n, m in [(2, 2), (3, 3), (4, 4), (8, 8), (16, 16), (24, 24),
                     (4, 2), (2, 4), (8, 3)]},
     **{f"mixed-transport-24-24-seed{s}":
-       (lambda s=s: _mixed_transport(24, 24, s)) for s in range(3)},
+       (lambda s=s: mixed_transport(24, 24, s)) for s in range(3)},
 }
 
 
@@ -263,7 +252,7 @@ def test_resolvent_and_left_side_built_only_when_read(monkeypatch, tmp_path,
         return wrapper
 
     resolvent = counted("resolvent", pencil_module.resolvent)
-    for module in (pencil_module, solver, semigroup):
+    for module in (pencil_module, solver):
         monkeypatch.setattr(module, "resolvent", resolvent)
     for name in ("Z_chain", "Z_ker"):
         prop = vars(subspaces.DecompositionReport)[name]
