@@ -3,10 +3,10 @@
 S_r(t) is the p-fold time integral of the solution propagator on X_ran,
 characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
 closed-form backend integrates exp(t A_R) analytically, A_R the generator
-of the decomposition's split (E V A_R = A V on X_ran).  The contour backend
-inverts R_r(lam) x0 / lam^p numerically and needs no invertibility; on
-square pencils all its samples come from one batched triangular sweep with
-the evaluator's one QZ form, on rectangular ones from one QR least-squares
+of the decomposition's split (E V A_R = A V on X_ran, from its S^{-1}).
+The contour backend inverts R_r(lam) x0 / lam^p numerically; on square
+pencils all its samples come from one batched triangular sweep with the
+evaluator's one QZ form, on rectangular ones from one QR least-squares
 solve per node.
 
 S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
@@ -69,7 +69,7 @@ class SemigroupEvaluator:
     A_R: np.ndarray | None             # generator on X_ran coordinates
     prop: Signal | None                # exp(t A_R), matrix signal
     S_coord: Signal | None             # p-fold antiderivative of prop
-    spectrum: np.ndarray | None = None  # eigvals(A_R); None without A_R
+    spectrum: np.ndarray | None = None  # of A_R; None without A_R
 
     @property
     def rank(self) -> int:
@@ -123,8 +123,9 @@ def build_evaluator(p: Pencil,
 
     The decomposition fixes both: the generator is its A_R, and p is
     ``stagnation_k + 1``, since Wong's sequences stop at the index.  The
-    contour backend stops after the generator and its growth bound; it
-    never reads the closed form, so ``prop`` and ``S_coord`` stay None.
+    closed form reads the spectrum off its propagator's rates (one per
+    distinct eigenvalue); the contour backend takes eigvals(A_R) and never
+    reads the closed form, so ``prop`` and ``S_coord`` stay None.
     """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -136,11 +137,11 @@ def build_evaluator(p: Pencil,
     A_R = prop = S_coord = spectrum = None
     if r > 0:
         A_R = decomposition.A_R
-        spectrum = np.linalg.eigvals(A_R)
-        omega = max(float(np.max(spectrum.real)), omega)
         if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
+        spectrum = np.linalg.eigvals(A_R) if prop is None else prop.rates
+        omega = max(float(np.max(spectrum.real)), omega)
     return SemigroupEvaluator(pencil=p, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega,
                               V=V, A_R=A_R, prop=prop,

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BasisMismatch, ClosedFormUnavailable,
-                     DecompositionUnavailable, InconsistentInitialValue,
+from .errors import (DecompositionUnavailable, InconsistentInitialValue,
                      LiftFailed, SolverMismatch)
 from .kernel import derivative_sum
 from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
-from .pencil import COND_CAP, Pencil, resolvent  # noqa: F401
+from .pencil import Pencil, resolvent  # noqa: F401
 from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
                         transform_sampler)
 from .signals import Signal
@@ -150,16 +149,6 @@ def _check_consistent(x0, dist: float, strict: bool) -> None:
         raise InconsistentInitialValue(f"x0 lies {dist:.2e} off X_ran")
 
 
-def _consistent_part(ev: SemigroupEvaluator, x0, strict: bool) -> tuple:
-    """(c, ||x0 - V c||) with V c the part of x0 in X_ran along X_ker:
-    c = (T^{-1} x0)[:r], T = [V | K], which the split keeps invertible."""
-    T = np.hstack([ev.V, ev.decomposition.X_ker.basis])
-    c = np.linalg.solve(T, x0)[:ev.rank]
-    dist = float(np.linalg.norm(x0 - ev.V @ c))
-    _check_consistent(x0, dist, strict)
-    return c, dist
-
-
 def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
                       strict: bool = True) -> Trajectory:
     """d/dt(E x) = A x from the part of x0 in X_ran taken along X_ker.
@@ -171,15 +160,16 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     F(lam) = (lam E - A)^{-1} E x(0) at each output time, on the hyperbola
     when the evaluator's spectrum of A_R fits inside it at that time and on
     the Euler-accelerated line otherwise (``contour_for``).  Each node is
-    sampled as [F(z), z F(z) - x(0)], so one inversion gives x(t) and x'(t)
-    and the classical residual is pointwise; it bounds the node solves, not
-    the quadrature error (see ``residual``).  One call samples the 41
-    (hyperbola) or 109 (line) nodes of every output time, a long grid in
-    blocks of about SWEEP_ENTRIES node entries: on square pencils one
-    batched back-substitution with the evaluator's QZ form, gated node by
-    node by a batched 1-norm condition estimate (``QZForm.solve_at``); on
-    rectangular ones one QR least-squares solve per node, gated by LAPACK's
-    ztrcon estimate for R (``pencil.least_squares_at``).
+    sampled as [F(z), z F(z) - x(0)], so one inversion gives x(t) and x'(t),
+    each kept to its part in X_ran along X_ker, and the classical residual
+    is pointwise; it bounds the node solves, not the quadrature error (see
+    ``residual``).  One call samples the 41 (hyperbola) or 109 (line) nodes
+    of every output time, a long grid in blocks of about SWEEP_ENTRIES node
+    entries: on square pencils one batched back-substitution with the
+    evaluator's QZ form, gated node by node by a batched 1-norm condition
+    estimate (``QZForm.solve_at``); on rectangular ones one QR least-squares
+    solve per node, gated by LAPACK's ztrcon estimate for R
+    (``pencil.least_squares_at``).
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -188,8 +178,9 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
         _check_consistent(x0, traj.consistency["initial_value_error"], strict)
         return traj
     ev = build_evaluator(p, backend="contour")
-    c, dist = _consistent_part(ev, x0, strict)
-    x0p = ev.V @ c
+    x0p = ev.V @ ev.decomposition.ran_part(x0)
+    dist = float(np.linalg.norm(x0 - x0p))
+    _check_consistent(x0, dist, strict)
     solve = transform_sampler(ev, x0p)
 
     def sample(lams):  # transforms of x and x' at every node, as rows
@@ -205,6 +196,8 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     for b in np.unique(block):
         vals[pos[block == b]] = bromwich_invert(
             sample, [cfg for cfg, bb in zip(cfgs, block) if bb == b])
+    c = ev.decomposition.ran_part(vals[pos].reshape(-1, p.n_x).T)
+    vals[pos] = (ev.V @ c).T.reshape(-1, 2 * p.n_x)
     kinds = [None] * len(ts)
     for i, cfg in zip(pos, cfgs):
         kinds[i] = cfg.kind
@@ -230,53 +223,35 @@ def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts) -> Trajectory:
     """f valued in Z_ran and x0 in X_ran: convolve with S_r, then
     differentiate p times, with the evaluator's shift and p."""
     ev = build_evaluator(p)
-    Pz = ev.decomposition.Z_ran.projector()
-    off = float(np.max(np.linalg.norm(f.coeffs.T - Pz @ f.coeffs.T, axis=0),
-                       initial=0.0))
-    if off > LIFT_TOL * max(f.magnitude(), 1.0):
-        raise LiftFailed(
-            f"inhomogeneity leaves the left range space by {off:.2e}")
-    c0, _ = _consistent_part(ev, x0, True)
+    f_tilde = _lift_into_xran(ev, f)
+    c0 = ev.decomposition.ran_part(x0)
+    _check_consistent(x0, float(np.linalg.norm(x0 - ev.V @ c0)), True)
     if ev.rank == 0:
         return _from_signal(p, Signal.zero(p.n_x), ts, f, x0=x0)
-    f_tilde = _lift_into_xran(ev, f)
     v_tilde = ev.S_coord.matvec(c0) + ev.S_coord.convolve(f_tilde)
-    x_coord = v_tilde.derivative(ev.p)
-    sig = x_coord.apply(ev.V)
-    return _from_signal(p, sig, ts, f, x0=x0)
+    return _from_signal(p, v_tilde.derivative(ev.p).apply(ev.V), ts, f, x0=x0)
 
 
 def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:
     """f anywhere in Z, solved in the split X = X_ran + X_ker.
 
-    On a regular pencil X_ran and X_ker are Wong's limits V* and W*, so for
-    their orthonormal bases V, K, T = [V | K] and S = [E V | A K],
-    S^{-1} E T = diag(I, N) and S^{-1} A T = diag(J, I) with N nilpotent
-    (quasi-Weierstrass form; Berger, Ilchmann & Trenn, LAA 436 (2012)).
-    From one inverse of S: xi = exp(tJ) xi0 + exp(tJ) * g_1 with
-    g = S^{-1} f and xi0 = (S^{-1} E x0)_1 = (T^{-1} x0)_1, the derivative
-    sum eta = -sum N^i g_2^(i) to the stagnation power, x = V xi + K eta.
+    In the decomposition's quasi-Weierstrass form (``S_inv``, which refuses
+    a split that is not one), xi = exp(tJ) xi0 + exp(tJ) * g_1 with J = A_R,
+    g = S^{-1} f and xi0 = (S^{-1} E x0)_1, the derivative sum
+    eta = -sum N^i g_2^(i) to the stagnation power, and x = V xi + K eta.
     The algebraic part of x0 is the one f forces (``initial_value_error``
-    records any jump).  Raises ClosedFormUnavailable when cond(S) exceeds
-    COND_CAP and BasisMismatch when the dimensions do not add up to n.
+    records any jump).
     """
     if not p.is_square:
         raise DecompositionUnavailable("full solve needs a square pencil")
     x0 = np.asarray(x0, dtype=complex)
     rep = hilbert_decomposition(p)
-    V, K = rep.X_ran.basis, rep.X_ker.basis
+    S_inv, V, K = rep.S_inv, rep.X_ran.basis, rep.X_ker.basis
     r = V.shape[1]
-    if r + K.shape[1] != p.n_x:
-        raise BasisMismatch(f"X_ran and X_ker have dimensions {r} and "
-                            f"{K.shape[1]}, the state space {p.n_x}")
-    S = np.hstack([p.E @ V, p.A @ K])
-    if not np.linalg.cond(S) <= COND_CAP:
-        raise ClosedFormUnavailable("X_ran and X_ker do not split the pencil")
-    S_inv = np.linalg.inv(S)
     x_sig = Signal.zero(p.n_x)
     if r:
-        prop = propagator_signal(S_inv[:r] @ p.A @ V)
-        xi = (prop.matvec(S_inv[:r] @ (p.E @ x0))
+        prop = propagator_signal(rep.A_R)
+        xi = (prop.matvec(rep.ran_part(x0))
               + prop.convolve(f.apply(S_inv[:r])))
         x_sig = xi.apply(V)
     if r < p.n_x:

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import BasisMismatch, SingularAtLambda
-from .pencil import Pencil, SubspaceBasis, svd_split
+from .errors import BasisMismatch, ClosedFormUnavailable, SingularAtLambda
+from .pencil import COND_CAP, Pencil, SubspaceBasis, svd_split
 
 ANGLE_TOL = 1e-6
 
@@ -50,9 +50,10 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
 @dataclass
 class DecompositionReport:
     """The V iterates, one step past stagnation, and X_ker = W at the index
-    stagnation_k.  On first read: the generator A_R, the pencil's shift mu
-    and R_mu = (mu E - A)^{-1}, the left chain and kernel, and the left
-    levels (W_Z[i] = level i+1, the complement of Z_{i+1} in Z_i)."""
+    stagnation_k.  On first read: the split's S^{-1} and from it A_R, the
+    pencil's shift mu and R_mu = (mu E - A)^{-1}, the left chain and kernel,
+    and the left levels (W_Z[i] = level i+1, the complement of Z_{i+1} in
+    Z_i)."""
 
     pencil: Pencil
     square: Pencil    # the pencil the split ran on: ``pencil`` or its reduction
@@ -65,11 +66,33 @@ class DecompositionReport:
         return self.X_chain[-1]
 
     @cached_property
+    def S_inv(self) -> np.ndarray:
+        """S^{-1}, S = [E V | A K] on ``square`` for bases V, K of X_ran, X_ker:
+        S^{-1} E [V | K] = diag(I, N) and S^{-1} A [V | K] = diag(A_R, I).  A
+        split that is not one raises BasisMismatch, or ClosedFormUnavailable
+        unless the 1-norm condition ||S|| ||S^{-1}|| is at most COND_CAP."""
+        q, V, K = self.square, self.X_ran.basis, self.X_ker.basis
+        if V.shape[1] + K.shape[1] != q.n_x:
+            raise BasisMismatch(f"X_ran and X_ker have dimensions {V.shape[1]}"
+                                f" and {K.shape[1]}, the state space {q.n_x}")
+        S = np.hstack([q.E @ V, q.A @ K])
+        try:
+            S_inv = np.linalg.inv(S)
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            S_inv = np.full_like(S, np.inf)
+        if not np.linalg.norm(S, 1) * np.linalg.norm(S_inv, 1) <= COND_CAP:
+            raise ClosedFormUnavailable("X_ran and X_ker do not split the pencil")
+        return S_inv
+
+    @cached_property
     def A_R(self) -> np.ndarray:
-        """The split's generator: E V A_R = A V on ``square``, V = X_ran."""
-        V = self.X_ran.basis
-        return np.linalg.lstsq(self.square.E @ V, self.square.A @ V,
-                               rcond=None)[0]
+        """The split's generator (S^{-1} A V)_1: E V A_R = A V, V = X_ran."""
+        return self.S_inv[:self.X_ran.rank] @ self.square.A @ self.X_ran.basis
+
+    def ran_part(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates in X_ran of the part of x (a vector or columns) in
+        X_ran taken along X_ker: (S^{-1} E x)_1 on ``square``."""
+        return self.S_inv[:self.X_ran.rank] @ (self.square.E @ x)
 
     @property
     def mu(self) -> float:

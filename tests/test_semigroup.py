@@ -122,6 +122,27 @@ def test_one_analysis_per_evaluator(monkeypatch):
     assert calls == {"decomposition": 2, "qz": 1}
 
 
+def test_one_inverse_of_the_split(monkeypatch):
+    """The generator, solve_full's coordinates and its gate all read the
+    decomposition's one S^{-1}: no least-squares solve, one eigensolve of
+    A_R per closed-form evaluator, and no condition number but that of
+    A_R's eigenbasis (propagator_signal's gate)."""
+    shapes = {"lstsq": [], "eig": [], "eigvals": [], "cond": []}
+    for name, calls in shapes.items():
+        def counted(M, *args, _f=getattr(np.linalg, name), _calls=calls,
+                    **kwargs):
+            _calls.append(np.shape(M))
+            return _f(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    p, _ = make_weierstrass(2, 2, 2, seed=6)
+    ev = build_evaluator(p)
+    assert shapes["eig"] == [(2, 2)] and shapes["eigvals"] == []
+    shapes["cond"].clear()
+    solver.solve_full(p, ev.V[:, 0], Signal.zero(4), [0.0, 1.0])
+    assert shapes["lstsq"] == []
+    assert shapes["cond"] == [(2, 2)]
+
+
 @pytest.mark.parametrize("maker", [
     lambda: make_weierstrass(2, 2, 2, seed=5)[0],
     lambda: make_weierstrass(3, 1, 1, seed=8)[0],

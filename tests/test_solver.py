@@ -11,8 +11,8 @@ from daesemi import (Pencil, Signal, SubspaceBasis, WeierstrassOracle,
                      cp_semigroup, cross_check, eval_S_r,
                      hilbert_decomposition, make_transport, make_weierstrass,
                      principal_angles, restrict_to_kernel, solve_full, solve_homogeneous,
-                     solve_inhomogeneous_ran, solve_kernel_inhomogeneity,
-                     solver, verify_properties)
+                     semigroup, solve_inhomogeneous_ran,
+                     solve_kernel_inhomogeneity, solver, verify_properties)
 from daesemi.errors import (BasisMismatch, ClosedFormUnavailable,
                             DecompositionUnavailable,
                             InconsistentInitialValue, LiftFailed,
@@ -86,8 +86,10 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_homogeneous_contour_on_hyperbola_matches_oracle(k):
+    # x(t) keeps its part in X_ran along X_ker, so the quadrature's drift
+    # off X_ran does not grow with the index
     ts = np.array([0.0, 0.5, 1.0, 1.5])
-    for n in (16, 32):
+    for n in (16, 32, 64):
         for seed in range(4):
             p, orc = make_weierstrass(n // 2, n // 2, k, seed=seed)
             rng = np.random.default_rng(seed)
@@ -95,7 +97,7 @@ def test_homogeneous_contour_on_hyperbola_matches_oracle(k):
             traj = solve_homogeneous(p, x0, ts, method="contour")
             ref = orc.solve(x0)(ts)
             err = np.max(np.abs(traj.values - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-10, (n, seed, err)
+            assert err <= 1e-11, (n, seed, err)
             assert traj.contours == (None, "hyperbola", "hyperbola",
                                      "hyperbola")
             assert traj.classification == "classical"
@@ -290,6 +292,16 @@ def test_convolution_route_rejects_offspace_f():
         solve_inhomogeneous_ran(p, np.zeros(p.n_x), f, TS)
 
 
+def test_convolution_route_rejects_f_when_the_range_space_is_trivial():
+    # X_ran = 0, so Z_ran = 0 and any nonzero f is off the range space
+    p, _ = make_weierstrass(0, 3, 2, seed=1)
+    f = Signal.from_terms([(np.ones(3), 0, 0.0)])
+    with pytest.raises(LiftFailed):
+        solve_inhomogeneous_ran(p, np.zeros(3), f, TS)
+    traj = solve_inhomogeneous_ran(p, np.zeros(3), Signal.zero(3), TS)
+    assert np.all(traj.values == 0)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_route_matches_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -381,18 +393,37 @@ def test_full_route_from_an_inconsistent_start(seed):
     assert traj.consistency["initial_value_error"] > 1e-2
 
 
-@pytest.mark.parametrize("broken, error", [
-    (lambda rep: SubspaceBasis(rep.X_ker.basis[:, 1:], 4), BasisMismatch),
-    (lambda rep: rep.X_ran, ClosedFormUnavailable)],
-    ids=["dimensions", "condition"])
+_X0 = np.random.default_rng(0).normal(size=4)
+# route -> (module whose hilbert_decomposition it calls, the solve)
+_SPLIT_ROUTES = {
+    "full": (solver, lambda p: solve_full(p, _X0, Signal.zero(4), TS)),
+    "contour": (semigroup, lambda p: solve_homogeneous(
+        p, _X0, TS, method="contour", strict=False)),
+    "convolution": (semigroup, lambda p: solve_inhomogeneous_ran(
+        p, np.zeros(4), Signal.zero(4), TS)),
+}
+_DIMENSIONS = (lambda rep: SubspaceBasis(rep.X_ker.basis[:, 1:], 4),
+               BasisMismatch)
+_CONDITION = (lambda rep: rep.X_ran, ClosedFormUnavailable)
+
+
+@pytest.mark.parametrize("broken, error, route", [
+    (*_DIMENSIONS, "full"), (*_CONDITION, "full"),
+    (*_DIMENSIONS, "contour"), (*_CONDITION, "contour"),
+    (*_DIMENSIONS, "convolution"), (*_CONDITION, "convolution")],
+    ids=["dimensions", "condition", "contour-dimensions", "contour-condition",
+         "convolution-dimensions", "convolution-condition"])
 def test_full_route_refuses_a_split_that_is_not_one(monkeypatch, broken,
-                                                    error):
+                                                    error, route):
+    """Every route reads the report's one gated S^{-1}, so each refuses a
+    split that is not one with the same typed error as solve_full."""
     p, _ = make_weierstrass(2, 2, 2, seed=0)
     rep = hilbert_decomposition(p)
     rep.X_ker = broken(rep)
-    monkeypatch.setattr(solver, "hilbert_decomposition", lambda _: rep)
+    module, solve = _SPLIT_ROUTES[route]
+    monkeypatch.setattr(module, "hilbert_decomposition", lambda _: rep)
     with pytest.raises(error):
-        solve_full(p, np.zeros(4), Signal.zero(4), TS)
+        solve(p)
 
 
 def test_full_route_with_finite_eigenvalue_at_twice_the_shift():
