@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NonFiniteSample, TailTooLarge
 
 # Line: balances the trapezoid aliasing error exp(-accel) against round-off
-# amplification exp(accel/2) * eps_F, where eps_F ~ cond(lam E - A) * 1e-16
+# amplification exp(accel/2) * eps_F, where eps_F ~ cond(lam - A_R) * 1e-16
 # is the relative error of one backward-stable (triangular) solve.
 DEFAULT_ACCEL = 20.0
 EULER_DEPTH = 14

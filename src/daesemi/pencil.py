@@ -5,10 +5,10 @@ admit the resolvent (lam*E - A)^{-1}; rectangular ones use the least-squares
 (Moore-Penrose) resolvent, the discrete analogue of an operator invertible
 between function spaces of different "coordinate" dimensions.  A Pencil
 caches ran E, ker E and its scale from one SVD of E, and its first regular
-shift.  Square pencils solved at many shifts are factored once into complex
-QZ form (``QZForm``); rectangular ones are solved at many nodes by one QR
-least-squares solve each, gated by LAPACK's ztrcon condition estimate
-(``least_squares_at``).
+shift.  Contour nodes are not solved on the pencil: the split's generator
+A_R, solved at many shifts, is factored once into complex Schur form
+(``SchurForm``), and every node is one back-substitution with it, gated by
+a batched 1-norm condition estimate.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import scipy.linalg
 from .errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
 
 COND_CAP = 1e12
-# Cap for sampled resolvents (index fit, contour nodes): norms growing like
-# |lam|^p_res are measured there and must not be mistaken for singularity.
+# Cap for sampled resolvents and contour nodes: in the index fit, norms
+# growing like |lam|^p_res are measured and must not be mistaken for
+# singularity; the contour's nodes lam - A_R share it.
 SAMPLE_COND_CAP = 1e15
 RANK_RCOND = 1e-10
 TOL_SLOPE = 0.15
@@ -181,138 +182,98 @@ def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class QZForm:
-    """Complex QZ form A = Q AA Z^H, E = Q EE Z^H of a square pencil.
+class SchurForm:
+    """Complex Schur form M = U T U^H of a square matrix, T upper triangular.
 
-    AA and EE are upper triangular (Moler & Stewart, SIAM J. Numer. Anal.
-    1973), so every shifted system (lam E - A) x = b is the triangular
-    system (lam EE - AA) y = Q^H b with x = Z y: one O(n^2) solve per shift
-    after one O(n^3) factorization (Laub, IEEE TAC 1981).
+    Every shifted system (lam - M) x = b is the triangular system
+    (lam - T) y = U^H b with x = U y: one O(r^2) solve per shift after one
+    O(r^3) factorization (Laub, IEEE TAC 1981).
     """
 
-    AA: np.ndarray
-    EE: np.ndarray
-    Q: np.ndarray
-    Z: np.ndarray
+    T: np.ndarray
+    U: np.ndarray
 
     @classmethod
-    def of(cls, p: Pencil) -> "QZForm":
-        return cls(*scipy.linalg.qz(p.A, p.E, output="complex"))
+    def of(cls, M: np.ndarray) -> "SchurForm":
+        return cls(*scipy.linalg.schur(M, output="complex"))
 
     def solve_at(self, lams, b: np.ndarray) -> np.ndarray:
-        """(lam_k E - A)^{-1} b for every lam_k in ``lams``, one row each.
+        """(lam_k - M)^{-1} b for every lam_k in ``lams``, one row each.
 
-        All K triangles T_k = lam_k EE - AA are solved by one vectorized
+        All K triangles lam_k - T are solved by one vectorized
         back-substitution, gated by their batched 1-norm condition estimate
         (``solve_with_rcond``); a sample with an exact zero pivot or above
         SAMPLE_COND_CAP raises SingularAtLambda.
         """
         lams = np.asarray(lams, dtype=complex)
         y, rcond = self.solve_with_rcond(
-            lams, self.Q.conj().T @ np.asarray(b, dtype=complex))
+            lams, self.U.conj().T @ np.asarray(b, dtype=complex))
         bad = ~(rcond >= 1.0 / SAMPLE_COND_CAP)
         if bad.any():
             k = int(np.argmax(bad))
             raise SingularAtLambda(f"rcond {rcond[k]:.2e} at lambda={lams[k]}")
-        return (self.Z @ y).T
+        return (self.U @ y).T
 
     def solve_with_rcond(self, lams: np.ndarray, c: np.ndarray):
-        """(Y, rcond): Y[:, k] = T_k^{-1} c and rcond[k] estimates
-        1/(||T_k||_1 ||T_k^{-1}||_1), for T_k = lam_k EE - AA.
+        """(Y, rcond): Y[:, k] = (lam_k - T)^{-1} c and rcond[k] estimates
+        1/(||lam_k - T||_1 ||(lam_k - T)^{-1}||_1).
 
-        ||T_k^{-1}||_1 is estimated as ztrcon does, by Hager's method in
+        The inverse's norm is estimated as ztrcon does, by Hager's method in
         Higham's form (ACM TOMS 14, 1988), run on every triangle at once and
         stopped after its first step.  The start vectors x = 1/n and the
         alternating x_i = (-1)^i (1 + i/(n-1)) ride along as extra columns of
-        the sweep for c; one sweep with T^H gives z = T^{-H} sign(T^{-1} x),
-        and one more the column T^{-1} e_j at j = argmax |z_j|.  Each of
-        ||T^{-1} x||_1, ||T^{-1} e_j||_1 and 2 ||T^{-1} alt||_1 / (3n) is a
-        lower bound, so the largest is taken.  ||T_k||_1 is bounded above
-        column by column by |diag T_k| + |lam_k| |EE| + |AA| summed over the
-        strict upper triangle, so rcond can only come out lower than with
-        the exact norm.  An exact zero pivot raises SingularAtLambda.
+        the sweep for c; one sweep with the adjoint gives
+        z = (lam - T)^{-H} sign((lam - T)^{-1} x), and one more the column
+        (lam - T)^{-1} e_j at j = argmax |z_j|.  Each of the three 1-norms
+        (the alternating one times 2/(3n)) is a lower bound, so the largest
+        is taken.  ||lam_k - T||_1 is bounded above column by column by
+        |lam_k - T_jj| + sum_{i<j} |T_ij|, so rcond can only come out lower
+        than with the exact norm.  An exact zero pivot raises
+        SingularAtLambda.
         """
         n, K = len(c), len(lams)
-        pair = np.stack([self.EE, self.AA])
-        d = lams * self.EE.diagonal()[:, None] - self.AA.diagonal()[:, None]
+        d = lams - self.T.diagonal()[:, None]                # (n, K)
         if not d.all():
             k = int(np.argmin(d.all(axis=0)))
             raise SingularAtLambda(f"zero pivot at lambda={lams[k]}")
         alt = (-1.0) ** np.arange(n) * np.linspace(1.0, 2.0, n)
         rhs = np.stack([c, np.full(n, 1.0 / n), alt], axis=1)[:, None, :]
-        off = np.abs(np.triu(pair, 1)).sum(axis=1)          # (2, n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            Y = _upper_sweep(pair, lams, d, np.broadcast_to(rhs, (n, K, 3)))
+            Y = _upper_sweep(self.T, d, np.broadcast_to(rhs, (n, K, 3)))
             y = Y[:, :, 1]
             a = np.abs(y)
             sgn = np.where(a > np.finfo(float).tiny, y / a, 1.0)
-            # T^H is lower triangular; reversing its rows and columns makes
-            # it upper triangular again
-            pair_h = np.ascontiguousarray(
-                pair.conj().transpose(0, 2, 1)[:, ::-1, ::-1])
-            z = _upper_sweep(pair_h, lams.conj(), d[::-1].conj(),
+            # (lam - T)^H is lower triangular; reversing its rows and
+            # columns makes it upper triangular again
+            T_h = np.ascontiguousarray(self.T.conj().T[::-1, ::-1])
+            z = _upper_sweep(T_h, d[::-1].conj(),
                              sgn[::-1, :, None])[::-1, :, 0]
             e = np.zeros((n, K, 1))
             e[np.argmax(np.abs(z), axis=0), np.arange(K), 0] = 1.0
             inv_norm = np.maximum.reduce([
                 a.sum(axis=0),
-                np.abs(_upper_sweep(pair, lams, d, e)[:, :, 0]).sum(axis=0),
+                np.abs(_upper_sweep(self.T, d, e)[:, :, 0]).sum(axis=0),
                 2.0 * np.abs(Y[:, :, 2]).sum(axis=0) / (3 * n)])
-            norm = np.max(np.abs(d) + np.abs(lams) * off[0][:, None]
-                          + off[1][:, None], axis=0)
+            off = np.abs(np.triu(self.T, 1)).sum(axis=0)
+            norm = np.max(np.abs(d) + off[:, None], axis=0)
             rcond = 1.0 / (norm * inv_norm)
         return Y[:, :, 0], rcond
 
 
-def _upper_sweep(pair: np.ndarray, lams: np.ndarray, d: np.ndarray,
-                 R: np.ndarray) -> np.ndarray:
-    """Y[:, k] = (lam_k pair[0] - pair[1])^{-1} R[:, k] for every k.
+def _upper_sweep(T: np.ndarray, d: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Y[:, k] = (lam_k - T)^{-1} R[:, k] for every k.
 
-    pair[0] and pair[1] are upper triangular, d (n, K) holds the diagonals
-    of the K triangles and R is (n, K, m).  Each row step is one product of
-    pair[:, i, i+1:] with the (n - i - 1, K m) block already solved, so no
+    T is upper triangular, d (n, K) holds the diagonals lam_k - T_ii of
+    the K triangles and R is (n, K, m).  Each row step is one product of
+    T[i, i+1:] with the (n - i - 1, K m) block already solved, so no
     (K, n, n) stack is formed.
     """
     n, K, m = R.shape
     Y = np.empty((n, K, m), dtype=complex)
-    lam = lams[:, None]
     for i in range(n - 1, -1, -1):
-        s = (pair[:, i, i + 1:] @ Y[i + 1:].reshape(n - 1 - i, K * m)
-             ).reshape(2, K, m)
-        Y[i] = (R[i] - lam * s[0] + s[1]) / d[i][:, None]
+        s = (T[i, i + 1:] @ Y[i + 1:].reshape(n - 1 - i, K * m)).reshape(K, m)
+        Y[i] = (R[i] + s) / d[i][:, None]
     return Y
-
-
-def least_squares_at(p: Pencil, lams, b: np.ndarray) -> np.ndarray:
-    """The least-squares solution of (lam_k E - A) x = b for every lam_k in
-    ``lams``, one row each, node by node: one Householder QR
-    lam_k E - A = Q R (Golub & Van Loan, Matrix Computations, 5.3), then
-    R x = Q^H b by back-substitution.
-
-    Each node is gated as QZForm.solve_at gates a square one: it raises
-    SingularAtLambda unless LAPACK's ztrcon estimate of R's 1-norm
-    reciprocal condition (Higham, ACM TOMS 14, 1988) is at least
-    1 / SAMPLE_COND_CAP; an exact zero pivot gives 0.  Only one node's
-    matrices are held at a time.  A wide pencil has no node of full column
-    rank and is refused at once.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    c = np.asarray(b, dtype=complex)[:, None]
-    n = p.n_x
-    if p.n_z < n:
-        raise SingularAtLambda(f"wide pencil {p.E.shape}: no node has full "
-                               "column rank")
-    geqrf, unmqr, trcon, trtrs = scipy.linalg.get_lapack_funcs(
-        ("geqrf", "unmqr", "trcon", "trtrs"), (p.E, c))
-    out = np.empty((len(lams), n), dtype=complex)
-    for k, lam in enumerate(lams):
-        qr, tau, _, _ = geqrf(lam * p.E - p.A, overwrite_a=True)
-        rcond, _ = trcon(qr[:n])
-        if not rcond >= 1.0 / SAMPLE_COND_CAP:
-            raise SingularAtLambda(f"rcond {rcond:.2e} at lambda={lam}")
-        qhb, _, _ = unmqr("L", "C", qr, tau, c, 1)
-        out[k] = trtrs(qr[:n], qhb[:n])[0][:, 0]
-    return out
 
 
 def right_resolvent(p: Pencil, lam: complex) -> np.ndarray:

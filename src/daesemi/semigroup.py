@@ -4,14 +4,18 @@ S_r(t) is the p-fold time integral of the solution propagator on X_ran,
 characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
 closed-form backend integrates exp(t A_R) analytically, A_R the generator
 of the decomposition's split (E V A_R = A V on X_ran, from its S^{-1}).
-The contour backend inverts R_r(lam) x0 / lam^p numerically; on square
-pencils all its samples come from one batched triangular sweep with the
-evaluator's one QZ form, on rectangular ones from one QR least-squares
-solve per node.
+The contour backend inverts R_r(lam) x0 / lam^p numerically.  In the
+split's quasi-Weierstrass form S^{-1} (lam E - A) [V | K] =
+diag(lam - A_R, lam N - I), so (lam E - A)^{-1} E V c = V (lam - A_R)^{-1} c
+(Berger, Ilchmann & Trenn, LAA 436 (2012)): every node, on square and
+rectangular pencils alike, is sampled in X_ran coordinates by one batched
+triangular sweep with the evaluator's one Schur form of A_R, whose
+diagonal is the contour's spectrum.
 
-S_l, characterized on Z_ran by R_l(lam) = E (lam E - A)^{-1} in the same
-way, is built the same two ways from the Z side of the same decomposition,
-its closed form from R_l(mu), apart from A_R.
+S_l, characterized on Z_ran = E X_ran by R_l(lam) = E (lam E - A)^{-1} in
+the same way, is built the same two ways from the Z side of the same
+decomposition, its closed form from R_l(mu), apart from A_R; its contour
+samples are E V (lam - A_R)^{-1} c for z0 = E V c.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
-from .pencil import COND_CAP, Pencil, QZForm, least_squares_at
+from .pencil import COND_CAP, Pencil, SchurForm
 from .signals import Signal, _combine
 from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
                         hilbert_decomposition)
@@ -70,14 +74,13 @@ class SemigroupEvaluator:
     prop: Signal | None                # exp(t A_R), matrix signal
     S_coord: Signal | None             # p-fold antiderivative of prop
     spectrum: np.ndarray | None = None  # of A_R; None without A_R
+    # A_R = U T U^H on the contour backend: (lam - A_R)^{-1} c are the X_ran
+    # coordinates of (lam E - A)^{-1} E V c at every node (``solve_at``)
+    schur: SchurForm | None = None
 
     @property
     def rank(self) -> int:
         return self.V.shape[1]
-
-    @cached_property
-    def _qz(self) -> QZForm:
-        return QZForm.of(self.pencil)
 
     @cached_property
     def _S_left(self) -> Signal:
@@ -124,8 +127,9 @@ def build_evaluator(p: Pencil,
     The decomposition fixes both: the generator is its A_R, and p is
     ``stagnation_k + 1``, since Wong's sequences stop at the index.  The
     closed form reads the spectrum off its propagator's rates (one per
-    distinct eigenvalue); the contour backend takes eigvals(A_R) and never
-    reads the closed form, so ``prop`` and ``S_coord`` stay None.
+    distinct eigenvalue); the contour backend reads it off the diagonal of
+    its one Schur form of A_R and never builds the closed form, so ``prop``
+    and ``S_coord`` stay None.
     """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -134,36 +138,21 @@ def build_evaluator(p: Pencil,
     p_int = decomposition.stagnation_k + 1
     V = decomposition.X_ran.basis
     r = V.shape[1]
-    A_R = prop = S_coord = spectrum = None
+    A_R = prop = S_coord = spectrum = schur = None
     if r > 0:
         A_R = decomposition.A_R
         if backend == "closed_form":
             prop = propagator_signal(A_R)
             S_coord = prop.antiderivative(p_int)
-        spectrum = np.linalg.eigvals(A_R) if prop is None else prop.rates
+            spectrum = prop.rates
+        else:
+            schur = SchurForm.of(A_R)
+            spectrum = schur.T.diagonal()
         omega = max(float(np.max(spectrum.real)), omega)
     return SemigroupEvaluator(pencil=p, p=p_int, backend=backend,
                               decomposition=decomposition, omega=omega,
-                              V=V, A_R=A_R, prop=prop,
-                              S_coord=S_coord, spectrum=spectrum)
-
-
-def _pencil_solver(ev: SemigroupEvaluator, b: np.ndarray):
-    """lams -> (lam_k E - A)^{-1} b as rows, each node refused when its
-    1-norm condition estimate exceeds SAMPLE_COND_CAP: one batched
-    triangular sweep with the evaluator's QZ form, factored on first use,
-    on square pencils; one QR least-squares solve per node, gated by
-    ztrcon, on rectangular ones (``least_squares_at``)."""
-    pen = ev.pencil
-    if not pen.is_square:
-        return lambda lams: least_squares_at(pen, lams, b)
-    return lambda lams: ev._qz.solve_at(lams, b)
-
-
-def transform_sampler(ev: SemigroupEvaluator, x0: np.ndarray):
-    """lams -> (lam_k E - A)^{-1} E x0 as rows, the Laplace transform of the
-    solution at every node."""
-    return _pencil_solver(ev, ev.pencil.E @ x0)
+                              V=V, A_R=A_R, prop=prop, S_coord=S_coord,
+                              spectrum=spectrum, schur=schur)
 
 
 def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
@@ -174,16 +163,18 @@ def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
         return np.zeros(basis.shape[0], dtype=complex)
     if ev.backend == "closed_form":
         return basis @ ((ev._S_left if left else ev.S_coord)(t) @ c)
-    v, E, pp = basis @ c, ev.pencil.E, ev.p
-    solve = _pencil_solver(ev, v) if left else transform_sampler(ev, v)
+    dec, lift = ev.decomposition, ev.V
+    if left:  # v0 = E V c for c = (S^{-1} v0)_1, (S^{-1} R_mu v0)_1 if reduced
+        v = basis @ c
+        c = dec.S_inv[:ev.rank] @ (v if ev.pencil.is_square else dec.R_mu @ v)
+        lift = ev.pencil.E @ ev.V
 
-    def sample(lams):  # R_l(lam) v / lam^p or R_r(lam) v / lam^p, as rows
-        F = solve(lams)
-        return (F @ E.T if left else F) / lams[:, None] ** pp
+    def sample(lams):  # coordinates of R_r(lam) V c / lam^p, as rows
+        return ev.schur.solve_at(lams, c) / lams[:, None] ** ev.p
 
     # lam^{-p} adds a pole at 0 to the spectrum of A_R
-    spectrum = None if ev.spectrum is None else np.append(ev.spectrum, 0.0)
-    return bromwich_invert(sample, contour_for(t, ev.omega, spectrum))
+    cfg = contour_for(t, ev.omega, np.append(ev.spectrum, 0.0))
+    return lift @ bromwich_invert(sample, cfg)
 
 
 def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ taken along X_ker (Wong's V* along W*), and the equation fixes the rest:
     propagator of J on X_ran and a finite derivative sum on X_ker —
     accepts f anywhere in Z;
   * solve_homogeneous: solve_full with f = 0, or contour inversion of the
-    resolvent (square or rectangular pencils);
+    resolvent through the split's generator (square or rectangular
+    pencils);
   * solve_inhomogeneous_ran: convolution with the integrated semigroup and
     p analytic derivatives, for f valued in Z_ran;
   * the kernel formula (kernel module) for f valued in Z_ker.
@@ -28,8 +29,7 @@ from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
 from .pencil import Pencil, resolvent  # noqa: F401
-from .semigroup import (SemigroupEvaluator, build_evaluator, propagator_signal,
-                        transform_sampler)
+from .semigroup import SemigroupEvaluator, build_evaluator, propagator_signal
 from .signals import Signal
 from .subspaces import hilbert_decomposition
 
@@ -39,8 +39,9 @@ CLASSICAL_TOL = 1e-8
 MILD_TOL = 1e-8
 CROSS_TOL = 1e-4
 # The contour nodes of all output times share one batched sweep, which
-# holds about ten n-vectors per node; a long time grid is sampled in blocks
-# of about SWEEP_ENTRIES node entries (nodes times n), about 10 MB each.
+# holds about ten vectors of X_ran coordinates per node; a long time grid is
+# sampled in blocks of about SWEEP_ENTRIES node entries (nodes times
+# dim X_ran), about 10 MB each.
 SWEEP_ENTRIES = 1 << 16
 
 
@@ -159,17 +160,16 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     pencils).  ``method="contour"`` (square or rectangular pencils) inverts
     F(lam) = (lam E - A)^{-1} E x(0) at each output time, on the hyperbola
     when the evaluator's spectrum of A_R fits inside it at that time and on
-    the Euler-accelerated line otherwise (``contour_for``).  Each node is
-    sampled as [F(z), z F(z) - x(0)], so one inversion gives x(t) and x'(t),
-    each kept to its part in X_ran along X_ker, and the classical residual
-    is pointwise; it bounds the node solves, not the quadrature error (see
-    ``residual``).  One call samples the 41 (hyperbola) or 109 (line) nodes
-    of every output time, a long grid in blocks of about SWEEP_ENTRIES node
-    entries: on square pencils one batched back-substitution with the
-    evaluator's QZ form, gated node by node by a batched 1-norm condition
-    estimate (``QZForm.solve_at``); on rectangular ones one QR least-squares
-    solve per node, gated by LAPACK's ztrcon estimate for R
-    (``pencil.least_squares_at``).
+    the Euler-accelerated line otherwise (``contour_for``).  F is sampled in
+    X_ran coordinates, (lam - A_R)^{-1} c0 with c0 those of x(0), by one
+    batched back-substitution with the evaluator's one Schur form of A_R,
+    gated node by node by a batched 1-norm condition estimate
+    (``SchurForm.solve_at``); one call takes the 41 (hyperbola) or 109
+    (line) nodes of every output time, a long grid in blocks of about
+    SWEEP_ENTRIES node entries.  Each node is sampled as
+    [F(z), z F(z) - c0], so one inversion gives x(t) and x'(t), lifted by V
+    into X_ran, and the classical residual is pointwise; it bounds the node
+    solves, not the quadrature error (see ``residual``).
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -178,32 +178,33 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
         _check_consistent(x0, traj.consistency["initial_value_error"], strict)
         return traj
     ev = build_evaluator(p, backend="contour")
-    x0p = ev.V @ ev.decomposition.ran_part(x0)
-    dist = float(np.linalg.norm(x0 - x0p))
+    c0 = ev.decomposition.ran_part(x0)
+    dist = float(np.linalg.norm(x0 - ev.V @ c0))
     _check_consistent(x0, dist, strict)
-    solve = transform_sampler(ev, x0p)
+    r = ev.rank
 
-    def sample(lams):  # transforms of x and x' at every node, as rows
-        F = solve(lams)
-        return np.hstack([F, lams[:, None] * F - x0p])
+    def sample(lams):  # coordinates of the transforms of x and x', as rows
+        F = ev.schur.solve_at(lams, c0)
+        return np.hstack([F, lams[:, None] * F - c0])
 
     ts = np.asarray(ts, dtype=float)
-    vals = np.zeros((len(ts), 2 * p.n_x), dtype=complex)
-    vals[ts == 0] = np.concatenate([x0p, np.full(p.n_x, np.nan)])
-    pos = np.flatnonzero(ts != 0)
+    coords = np.zeros((len(ts), 2 * r), dtype=complex)
+    coords[ts == 0, :r] = c0
+    # X_ran = 0 leaves x = 0 at every t, with no contour to sample
+    pos = np.flatnonzero(ts != 0) if r else np.zeros(0, dtype=int)
     cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts[pos]]
-    block = np.cumsum([len(cfg.nodes) * p.n_x for cfg in cfgs]) // SWEEP_ENTRIES
+    block = np.cumsum([len(cfg.nodes) * r for cfg in cfgs]) // SWEEP_ENTRIES
     for b in np.unique(block):
-        vals[pos[block == b]] = bromwich_invert(
+        coords[pos[block == b]] = bromwich_invert(
             sample, [cfg for cfg, bb in zip(cfgs, block) if bb == b])
-    c = ev.decomposition.ran_part(vals[pos].reshape(-1, p.n_x).T)
-    vals[pos] = (ev.V @ c).T.reshape(-1, 2 * p.n_x)
+    values, derivatives = coords[:, :r] @ ev.V.T, coords[:, r:] @ ev.V.T
+    derivatives[ts == 0] = np.nan
     kinds = [None] * len(ts)
     for i, cfg in zip(pos, cfgs):
         kinds[i] = cfg.kind
-    traj = Trajectory(times=ts, values=vals[:, :p.n_x],
+    traj = Trajectory(times=ts, values=values,
                       consistency={"initial_value_error": dist},
-                      derivatives=vals[:, p.n_x:], contours=tuple(kinds))
+                      derivatives=derivatives, contours=tuple(kinds))
     _classify(p, traj, None)
     return traj
 

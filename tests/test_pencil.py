@@ -10,8 +10,7 @@ from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
                      make_transport, make_weierstrass, resolvent,
                      right_resolvent)
 from daesemi.errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
-from daesemi.pencil import (RANK_RCOND, SAMPLE_COND_CAP, QZForm,
-                            least_squares_at)
+from daesemi.pencil import RANK_RCOND, SAMPLE_COND_CAP, SchurForm
 
 from conftest import mixed_transport, nilpotent_of_index
 
@@ -167,98 +166,111 @@ def _contour_nodes(t, omega, spectrum=None):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_qz_shifted_solve_matches_resolvent(k):
-    """Backward stable at every node of the line and of the hyperbola, and
-    agrees with the explicit resolvent to 1e-10 relative; at index 3 and 4
-    the far nodes make lam E - A so ill-conditioned that any two stable
-    solves differ by up to cond * eps, so there the agreement is asked to
-    within 1e-14 * cond."""
+    """At every node of the line and of the hyperbola, the solve with the
+    generator's Schur form (the QZ form of the pencil (I, A_R)) is backward
+    stable for lam - A_R and agrees with the explicit resolvent to 1e-10
+    relative, or to 1e-14 * cond at an ill-conditioned node.  The pencil's
+    nilpotent part, whose growth |lam|^(k-1) made the far nodes of the
+    pencil ill-conditioned at index 3 and 4, no longer enters."""
     p, _ = make_weierstrass(6, 6, k, seed=70 + k)
     ev = build_evaluator(p, backend="contour")
     rng = np.random.default_rng(k)
-    b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
-    qz = QZForm.of(p)
+    c = rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)
+    I = np.eye(ev.rank)
     assert all(contour_for(t, ev.omega, ev.spectrum).kind == "hyperbola"
                for t in (0.25, 1.0, 1.5))
     for t in (0.25, 1.0, 1.5):
         lams = (_contour_nodes(t, ev.omega)
                 + _contour_nodes(t, ev.omega, ev.spectrum))
-        for lam, x in zip(lams, qz.solve_at(lams, b)):
-            M = lam * p.E - p.A
-            assert np.linalg.norm(M @ x - b) <= 1e-14 * (
-                np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(b))
-            ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
+        for lam, x in zip(lams, ev.schur.solve_at(lams, c)):
+            M = lam * I - ev.A_R
+            assert np.linalg.norm(M @ x - c) <= 1e-14 * (
+                np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(c))
+            ref = resolvent(Pencil(I, ev.A_R), lam,
+                            cond_cap=SAMPLE_COND_CAP) @ c
             tol = max(1e-10, 1e-14 * np.linalg.cond(M))
             assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-def test_least_squares_at_matches_resolvent(mixed):
+def test_rectangular_sampler_matches_least_squares(mixed):
     """Every node of the line and of the hyperbola on a rectangular
     transport pencil (rows mixed by a unitary at 24 x 24, as the benchmark
-    draws it): the QR solve agrees with the least-squares resolvent to
-    1e-10 relative, or to 1e-14 * cond where the node is ill-conditioned."""
-    p = mixed_transport(24, 24, seed=3) if mixed else make_transport(4, 3)
+    draws it), from a consistent start V c: the sampler's X_ran
+    coordinates, lifted by V, agree with the least-squares solution of
+    (lam E - A) x = E V c to 1e-10 relative, or to 1e-14 * cond where the
+    node is ill-conditioned."""
+    n, m = (24, 24) if mixed else (4, 3)
+    p = mixed_transport(n, m, seed=3) if mixed else make_transport(n, m)
     ev = build_evaluator(p, backend="contour")
     rng = np.random.default_rng(5)
-    b = p.E @ (ev.V @ (rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)))
+    # x1(0) = 0 and x2 = x1(1): the boundary rows hold
+    x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x1[0] = 0.0
+    c = ev.project(np.concatenate([x1, np.full(m, x1[-1])]))
+    b = p.E @ (ev.V @ c)
     for t in (0.25, 1.0, 1.5):
         lams = (_contour_nodes(t, ev.omega)
                 + _contour_nodes(t, ev.omega, ev.spectrum))
-        for lam, x in zip(lams, least_squares_at(p, lams, b)):
-            ref = resolvent(p, lam, cond_cap=SAMPLE_COND_CAP) @ b
-            tol = max(1e-10, 1e-14 * np.linalg.cond(lam * p.E - p.A))
-            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+        for lam, y in zip(lams, ev.schur.solve_at(lams, c)):
+            M = lam * p.E - p.A
+            ref = np.linalg.lstsq(M, b, rcond=None)[0]
+            tol = max(1e-10, 1e-14 * np.linalg.cond(M))
+            assert np.linalg.norm(ev.V @ y - ref) <= tol * np.linalg.norm(ref)
 
 
-def test_least_squares_at_refuses_rank_deficient_nodes():
-    # -4 is the eigenvalue of make_transport(4, 4); a zero column leaves
-    # lam E - A rank-deficient at every lam, an exact zero pivot of R
-    p = make_transport(4, 4)
+def test_sampler_refuses_nodes_at_the_generator_spectrum():
+    # -4 is the eigenvalue of make_transport(4, 4)'s generator, a Jordan
+    # block, so lam - A_R is numerically singular at a node there
+    ev = build_evaluator(make_transport(4, 4), backend="contour")
     with pytest.raises(SingularAtLambda, match=r"lambda=\(-4"):
-        least_squares_at(p, [1.0, -4.0], np.ones(p.n_z))
+        ev.schur.solve_at([1.0, -4.0], np.ones(ev.rank))
+    # a zero column leaves lam E - A rank-deficient at every lam: the shift
+    # search refuses the pencil; a wide pencil (make_transport(4, 3)
+    # transposed) is refused by the split
     E = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(SingularAtLambda, match=r"rcond 0\.00e\+00"):
-        least_squares_at(Pencil(E, A), [2.0], np.ones(3))
-    # a wide pencil: no node has full column rank
-    with pytest.raises(SingularAtLambda, match="wide"):
-        least_squares_at(Pencil(E.T, A.T), [2.0], np.ones(2))
+    with pytest.raises(SingularAtLambda, match="rank-deficient"):
+        build_evaluator(Pencil(E, A), backend="contour")
+    p = make_transport(4, 3)
+    with pytest.raises(SingularAtLambda, match="a Wong step lost rank"):
+        build_evaluator(Pencil(p.E.T, p.A.T), backend="contour")
 
 
 def test_qz_shifted_solve_raises_at_eigenvalue(diag_pencil):
-    qz = QZForm.of(diag_pencil)
-    with pytest.raises(SingularAtLambda):
-        qz.solve_at([-1.0], np.ones(2))
-    assert np.allclose(qz.solve_at([1.0], np.ones(2))[0], [0.5, 1.0 / 3.0])
+    schur = SchurForm.of(diag_pencil.A)
+    with pytest.raises(SingularAtLambda, match="zero pivot"):
+        schur.solve_at([-1.0], np.ones(2))
+    assert np.allclose(schur.solve_at([1.0], np.ones(2))[0], [0.5, 1.0 / 3.0])
 
 
 def test_qz_shifted_solve_raises_on_singular_pencil():
-    # det(lam E - A) = 0 for every lam
+    # det(lam E - A) = 0 for every lam: the split refuses it before any
+    # node is solved
     E = np.array([[0.0, 1.0], [0.0, 0.0]])
-    qz = QZForm.of(Pencil(E, E.copy()))
-    for lam in (2.0, 5.0 + 3.0j):
-        with pytest.raises(SingularAtLambda):
-            qz.solve_at([lam], np.ones(2))
+    with pytest.raises(SingularAtLambda):
+        build_evaluator(Pencil(E, E.copy()), backend="contour")
 
 
 @pytest.mark.parametrize("case", ["diag", 1, 2, 3, 4])
 def test_batched_gate_refuses_what_ztrcon_refuses(case, diag_pencil):
-    """Nodes approaching each finite eigenvalue from four directions: the
-    batched estimate refuses every triangle that LAPACK's per-node ztrcon
-    refuses, and where both accept it is within a factor 2 of ztrcon's."""
-    p = diag_pencil if case == "diag" else make_weierstrass(8, 8, case,
-                                                            seed=case)[0]
-    qz = QZForm.of(p)
-    w = scipy.linalg.eigvals(p.A, p.E)
+    """Nodes approaching each eigenvalue of the generator from four
+    directions: the batched estimate refuses every triangle that LAPACK's
+    per-node ztrcon refuses, and where both accept it is within a factor 2
+    of ztrcon's."""
+    A_R = diag_pencil.A if case == "diag" else build_evaluator(
+        make_weierstrass(8, 8, case, seed=case)[0], backend="contour").A_R
+    schur = SchurForm.of(A_R)
+    w = np.linalg.eigvals(A_R)
     steps = np.logspace(1, -18, 60)
-    lams = np.concatenate([s + d * steps for s in w[np.isfinite(w)]
+    lams = np.concatenate([s + d * steps for s in w
                            for d in (1, 1j, -1, (1 - 1j) / np.sqrt(2))])
     # an exact zero pivot is refused before any estimate; keep the rest
-    lams = lams[np.all(lams[:, None] * qz.EE.diagonal() - qz.AA.diagonal(),
-                       axis=1)]
-    b = np.ones(len(p.E))
-    _, rcond = qz.solve_with_rcond(lams, qz.Q.conj().T @ b)
-    ref = np.array([ztrcon(lam * qz.EE - qz.AA)[0] for lam in lams])
+    lams = lams[np.all(lams[:, None] - schur.T.diagonal(), axis=1)]
+    b = np.ones(len(A_R))
+    _, rcond = schur.solve_with_rcond(lams, schur.U.conj().T @ b)
+    I = np.eye(len(A_R))
+    ref = np.array([ztrcon(lam * I - schur.T)[0] for lam in lams])
     cap = 1.0 / SAMPLE_COND_CAP
     refused = ref < cap
     assert refused.any() and not refused.all()
@@ -267,5 +279,5 @@ def test_batched_gate_refuses_what_ztrcon_refuses(case, diag_pencil):
     assert np.all(np.abs(np.log2(rcond[both] / ref[both])) <= 1.0)
     for lam in lams[refused][::10]:
         with pytest.raises(SingularAtLambda):
-            qz.solve_at([lam], b)
-    qz.solve_at(lams[both], b)
+            schur.solve_at([lam], b)
+    schur.solve_at(lams[both], b)

@@ -14,7 +14,7 @@ from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
 from daesemi import pencil as pencil_module
 from daesemi import semigroup, solver
 from daesemi.errors import NotInXran
-from daesemi.pencil import QZForm
+from daesemi.pencil import SchurForm
 from daesemi.signals import Signal
 
 from conftest import nilpotent_of_index, weierstrass_with_mode
@@ -97,29 +97,45 @@ def test_contour_S_l_matches_closed_form(k):
 
 
 def test_one_analysis_per_evaluator(monkeypatch):
-    """S_l reuses the evaluator's decomposition and QZ form."""
-    calls = {"decomposition": 0, "qz": 0}
-    decompose, qz_of = semigroup.hilbert_decomposition, QZForm.of
+    """S_r and S_l reuse the evaluator's decomposition and its one r x r
+    Schur form of A_R; the closed form takes none."""
+    calls = {"decomposition": 0, "schur": []}
+    decompose, schur_of = semigroup.hilbert_decomposition, SchurForm.of
 
     def counted_decomposition(*args, **kwargs):
         calls["decomposition"] += 1
         return decompose(*args, **kwargs)
 
-    def counted_qz(p):
-        calls["qz"] += 1
-        return qz_of(p)
+    def counted_schur(M):
+        calls["schur"].append(np.shape(M))
+        return schur_of(M)
 
     monkeypatch.setattr(semigroup, "hilbert_decomposition",
                         counted_decomposition)
-    monkeypatch.setattr(QZForm, "of", staticmethod(counted_qz))
+    monkeypatch.setattr(SchurForm, "of", staticmethod(counted_schur))
     p, _ = make_weierstrass(2, 2, 2, seed=6)
     verify_properties(build_evaluator(p))
-    assert calls == {"decomposition": 1, "qz": 0}
+    assert calls == {"decomposition": 1, "schur": []}
     ev = build_evaluator(p, backend="contour")
     x0 = ev.V[:, 0]
     eval_S_r(ev, 1.0, x0)
     eval_S_l(ev, 1.0, p.E @ x0)
-    assert calls == {"decomposition": 2, "qz": 1}
+    assert calls == {"decomposition": 2, "schur": [(2, 2)]}
+
+
+def test_contour_solve_takes_no_pencil_qz_or_eigvals(monkeypatch):
+    """The contour's nodes and spectrum come from the Schur form of A_R:
+    no QZ of the pencil and no separate eigenvalue solve."""
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(scipy.linalg, "qz", refused)
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    p, orc = make_weierstrass(32, 32, 2, seed=0)
+    rng = np.random.default_rng(0)
+    x0 = orc.consistent_x0(rng.normal(size=64) + 1j * rng.normal(size=64))
+    traj = solver.solve_homogeneous(p, x0, [0.0, 0.5, 1.0], method="contour")
+    assert traj.classification == "classical"
 
 
 def test_one_inverse_of_the_split(monkeypatch):
@@ -236,7 +252,7 @@ def test_cp_semigroup_decides_disjointness_once(monkeypatch):
 def test_rectangular_contour_takes_no_svd_per_node(monkeypatch):
     """A contour solve on a rectangular pencil calls the resolvent at most
     once, for the shift, and takes as many SVDs at 6 output times as at 4:
-    its nodes are QR solves (``least_squares_at``)."""
+    its nodes are solves with the Schur form of A_R."""
     svd, resolvent = np.linalg.svd, pencil_module.resolvent
     calls = {"svd": 0, "resolvent": 0}
 
