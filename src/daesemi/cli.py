@@ -143,8 +143,11 @@ def _jsonable(obj):
 def _suite_lemma29(p: Pencil) -> dict:
     ev = build_evaluator(p)
     rep = verify_properties(ev)
+    # cond of A_R's eigenbasis, refused above EIGVEC_COND_CAP; none at rank 0
+    cond = None if ev.S_coord is None else ev.S_coord.cond
     return {"residuals": rep.residuals, "passed": rep.passed,
-            "all_passed": rep.all_passed, "tol": rep.tol}
+            "all_passed": rep.all_passed, "tol": rep.tol,
+            "eigvec_cond": cond}
 
 
 def _suite_laplace(p: Pencil) -> dict:

@@ -4,6 +4,10 @@ S_r(t) is the p-fold time integral of the solution propagator on X_ran,
 characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
 closed-form backend integrates exp(t A_R) analytically, A_R the generator
 of the decomposition's split (E V A_R = A V on X_ran, from its S^{-1}).
+It holds exp(t A_R) and S_r in A_R's eigenbasis, A_R = Q diag(w) Q^{-1}:
+by the spectral calculus S_r(t) = Q diag(phi_p(t, w)) Q^{-1}, with
+phi_p(t, w) = int_0^t (t - s)^{p-1} / (p-1)! e^{s w} ds, so the p
+integrations act on the vector signal phi_p alone (``ModalSignal``).
 The contour backend inverts R_r(lam) x0 / lam^p numerically.  In the
 split's quasi-Weierstrass form S^{-1} (lam E - A) [V | K] =
 diag(lam - A_R, lam N - I), so (lam E - A)^{-1} E V c = V (lam - A_R)^{-1} c
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
 from .pencil import COND_CAP, Pencil, SchurForm
-from .signals import Signal, _combine
+from .signals import ModalSignal, Signal, _combine
 from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
                         hilbert_decomposition)
 
@@ -39,25 +43,31 @@ IDENTITY_GRID = (0.1, 0.5, 1.0, 2.0)
 IDENTITY_TOL = 1e-6
 
 
-def propagator_signal(M: np.ndarray) -> Signal:
-    """exp(t M) as a matrix-valued exp-polynomial via eigendecomposition.
+def propagator_signal(M: np.ndarray) -> ModalSignal:
+    """exp(t M) = Q diag(e^{t w}) Q^{-1}, held in M's eigenbasis Q.
 
-    Requires M to be diagonalizable with a well-conditioned eigenbasis.
+    The diagonal d has one term per distinct eigenvalue, whose coefficient
+    is 1 on that eigenvalue's columns of Q.  Requires M to be
+    diagonalizable with an eigenbasis whose condition number, kept as the
+    result's ``cond``, is at most EIGVEC_COND_CAP.
     """
     r = M.shape[0]
     if r == 0:
-        return Signal.zero((0, 0))
+        empty = np.zeros((0, 0), dtype=complex)
+        return ModalSignal(Signal.zero(0), empty, empty, 1.0)
     w, Q = np.linalg.eig(M)
-    if np.linalg.cond(Q) > EIGVEC_COND_CAP:
+    cond = float(np.linalg.cond(Q))
+    if cond > EIGVEC_COND_CAP:
         raise ClosedFormUnavailable(
             "generator eigenbasis too ill-conditioned for closed form")
     # eigenpairs in the order Signal sorts its terms, so none is moved
     order = np.lexsort((w.imag, w.real))
     w, Q = w[order], Q[:, order]
     Qinv = np.linalg.solve(Q, np.eye(r, dtype=complex))
-    outer = np.einsum("ik,kj->kij", Q, Qinv, order="C")  # Q[:, k] Qinv[k, :]
-    # one term (k, 1, 0, w_k) per eigenvalue: _combine keeps ``outer`` as is
-    return _combine(outer, [(k, 1, 0, wk) for k, wk in enumerate(w)])
+    # one term (k, 1, 0, w_k) per eigenvalue; equal eigenvalues share one
+    d = _combine(np.eye(r, dtype=complex),
+                 [(k, 1, 0, wk) for k, wk in enumerate(w)])
+    return ModalSignal(d, Q, Qinv, cond)
 
 
 @dataclass
@@ -71,8 +81,8 @@ class SemigroupEvaluator:
     omega: float
     V: np.ndarray                      # orthonormal basis of X_ran
     A_R: np.ndarray | None             # generator on X_ran coordinates
-    prop: Signal | None                # exp(t A_R), matrix signal
-    S_coord: Signal | None             # p-fold antiderivative of prop
+    prop: ModalSignal | None           # exp(t A_R) in A_R's eigenbasis
+    S_coord: ModalSignal | None        # p-fold antiderivative of prop
     spectrum: np.ndarray | None = None  # of A_R; None without A_R
     # A_R = U T U^H on the contour backend: (lam - A_R)^{-1} c are the X_ran
     # coordinates of (lam E - A)^{-1} E V c at every node (``solve_at``)
@@ -83,7 +93,7 @@ class SemigroupEvaluator:
         return self.V.shape[1]
 
     @cached_property
-    def _S_left(self) -> Signal:
+    def _S_left(self) -> ModalSignal:
         """S_l on Z_ran coordinates: A_L = mu I - (Z^H R_l(mu) Z)^{-1}."""
         dec, Z = self.decomposition, self.decomposition.Z_ran.basis
         R = Z.conj().T @ dec.pencil.E @ dec.R_mu @ Z
@@ -247,10 +257,11 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     integral in (f) uses 40-node Gauss-Legendre quadrature (the integrand
     is entire in the integration variable).  Signals are evaluated on
     whole grids: S_r, its derivative, its antiderivative and S_l once each
-    on the grid.  (f) contracts the quadrature weights with S_r's term
-    basis at the nodes first, so all (t, s) pairs take one product with
-    S_r's coefficients.  (b) takes the left coordinates of all columns of
-    E V in one projection.
+    on the grid.  S_r = Q diag(d(t)) Q^{-1} in A_R's eigenbasis, so (f)
+    contracts the quadrature weights with d's term basis at the nodes and
+    then with d's coefficients, which gives every (t, s) pair's integral
+    as one diagonal; all pairs then meet Q and Q^{-1} in one product.
+    (b) takes the left coordinates of all columns of E V in one projection.
     """
     require_closed_form(ev, "identity verification")
     if ev.rank == 0:
@@ -286,9 +297,10 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     nodes, weights = np.polynomial.legendre.leggauss(40)
     taus, ss = tt / 2.0 * (1.0 + nodes), ts[:, None]    # (t, 1, node), (s, 1)
     w = weights * tt / (2.0 * math.factorial(p - 1))
-    terms = ((w * (tt - taus) ** (p - 1))[..., None] * S._basis(taus + ss)
-             - (w * (tt + ss - taus) ** (p - 1))[..., None] * S._basis(taus))
-    acc = np.tensordot(terms.sum(axis=2), S.coeffs, 1)   # (t, s, r, r)
+    terms = ((w * (tt - taus) ** (p - 1))[..., None] * S.d._basis(taus + ss)
+             - (w * (tt + ss - taus) ** (p - 1))[..., None] * S.d._basis(taus))
+    diag = np.tensordot(terms.sum(axis=2), S.d.coeffs, 1)   # (t, s, r)
+    acc = S.Q @ (diag[..., None] * S.Qinv)                 # (t, s, r, r)
     res["f"] = mnorm(St[:, None] @ St[None, :] - acc)
     res = {k: v / scale for k, v in res.items()}
     return PropertyReport(res)

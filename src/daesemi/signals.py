@@ -11,6 +11,11 @@ A signal of K terms is stored as three arrays, ``coeffs`` (K,) + shape,
 Results in which terms can meet are built by ``_combine``, so the terms of
 every signal have distinct (power, rate) keys, sorted, and none is zero.
 
+A function of a diagonalizable generator, such as exp(t M) = Q diag(e^{t w})
+Q^{-1}, is a ``ModalSignal``: the vector signal of its diagonal in the
+eigenbasis Q, with Q and Q^{-1}.  It meets vectors and vector signals
+through Q and Q^{-1} and never stores a matrix coefficient per term.
+
 Powers are floats so that fractional-smoothness data (t**(q + alpha)) can be
 represented; non-integer powers are only supported with rate 0, which is all
 the smoothness-ladder tests need.
@@ -19,7 +24,7 @@ the smoothness-ladder tests need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -144,16 +149,19 @@ class Signal:
     def convolve(self, other: "Signal") -> "Signal":
         """(self * other)(t) = int_0^t self(t - tau) @ other(tau) d tau.
 
-        self must have matrix coefficients (n, r) and other vector (r,);
-        both restricted to integer powers.
+        self must have matrix coefficients (n, r) and other vector (r,), or
+        both vector coefficients of one shape, convolved componentwise (a
+        diagonal kernel); both restricted to integer powers.
         """
-        if len(self.shape) != 2 or len(other.shape) != 1 \
-                or self.shape[1] != other.shape[0]:
+        if len(other.shape) != 1 or self.shape[-1:] != other.shape \
+                or len(self.shape) > 2:
             raise DimensionMismatch(
                 f"convolve shapes {self.shape} and {other.shape}")
+        spec = "kij,lj->kli" if len(self.shape) == 2 else "kj,lj->klj"
         # source i * L + j is kernel term i times input term j
-        prods = np.einsum("kij,lj->kli", self.coeffs, other.coeffs,
-                          optimize=True).reshape(-1, self.shape[0])
+        prods = np.einsum(spec, self.coeffs, other.coeffs, optimize=True
+                          ).reshape(len(self.powers) * len(other.powers),
+                                    self.shape[0])
         rows = []
         for i, (m, a) in enumerate(zip(self.powers, self.rates)):
             m = _as_int_power(m)
@@ -251,6 +259,62 @@ class Signal:
             (([complex(re, im) for re, im in t["coeff"]], t["power"],
               complex(t["rate"][0], t["rate"][1])) for t in d["terms"]),
             shape=d.get("shape"))
+
+
+@dataclass(frozen=True)
+class ModalSignal:
+    """The matrix signal Q diag(d(t)) Q^{-1}, held in the eigenbasis Q.
+
+    ``d`` is a vector signal of shape (r,), one component per column of Q,
+    so a function of a diagonalizable generator costs K x r coefficients,
+    not K x r x r.  Calculus and scaling act on ``d`` alone; a product
+    with a vector or a vector signal passes through Q^{-1} and Q once.
+    ``cond`` is the condition number of Q.
+    """
+
+    d: Signal
+    Q: np.ndarray
+    Qinv: np.ndarray
+    cond: float
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.Q.shape
+
+    @property
+    def rates(self) -> np.ndarray:
+        return self.d.rates
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms of ``d``: one coefficient per eigenvector."""
+        return self.d.terms
+
+    def __call__(self, t):
+        """The matrix at t, or one per entry of an array t: (..., r, r)."""
+        return (self.Q * self.d(t)[..., np.newaxis, :]) @ self.Qinv
+
+    def derivative(self, order: int = 1) -> "ModalSignal":
+        return replace(self, d=self.d.derivative(order))
+
+    def antiderivative(self, order: int = 1) -> "ModalSignal":
+        return replace(self, d=self.d.antiderivative(order))
+
+    def scale(self, alpha) -> "ModalSignal":
+        return replace(self, d=self.d.scale(alpha))
+
+    def matvec(self, vec: np.ndarray) -> Signal:
+        """The vector signal Q diag(d(t)) Q^{-1} vec."""
+        c = self.Qinv @ np.asarray(vec, dtype=complex)
+        return _nonzero(self.d.coeffs * c, self.d.powers,
+                        self.d.rates).apply(self.Q)
+
+    def convolve(self, other: Signal) -> Signal:
+        """int_0^t Q diag(d(t - tau)) Q^{-1} other(tau) d tau."""
+        if other.shape != self.shape[1:]:
+            raise DimensionMismatch(
+                f"convolve shapes {self.shape} and {other.shape}")
+        return self.d.convolve(other.apply(self.Qinv)).apply(self.Q)
 
 
 def _combine(stack: np.ndarray, rows) -> Signal:

@@ -13,6 +13,7 @@ from daesemi.errors import BadShape
 from daesemi.fileio import (parse_trajectory_csv, pencil_from_dict,
                             pencil_to_dict, read_pencil, read_signal,
                             trajectory_csv, write_pencil, write_signal)
+from daesemi.semigroup import EIGVEC_COND_CAP
 
 
 @pytest.fixture
@@ -97,8 +98,13 @@ def test_cli_example_then_analyze(tmp_path, capsys):
 def test_cli_verify_suites(pencil_file, capsys):
     for suite in ("lemma29", "laplace", "thm43"):
         assert main(["verify", pencil_file, "--suite", suite]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["properties"][suite]["all_passed"] is True
+        rep = json.loads(capsys.readouterr().out)["properties"][suite]
+        assert rep["all_passed"] is True
+        # lemma29 alone reports how far A_R's eigenbasis sits inside the cap
+        if suite == "lemma29":
+            assert 1.0 <= rep["eigvec_cond"] <= EIGVEC_COND_CAP
+        else:
+            assert "eigvec_cond" not in rep
 
 
 def test_cli_solve_diag(pencil_file, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Integrated-semigroup construction, Laplace representation, identity suite."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,80 @@ def test_slow_mode_semigroup(k, mode, seed):
         assert np.abs(ev.S_coord(t) - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+def _dense_propagator(M):
+    """exp(t M) as the dense matrix signal sum_k Q[:, k] Q^{-1}[k, :] e^{w_k t}
+    (one r x r coefficient per term), from the eig output that
+    propagator_signal reads, in its order."""
+    w, Q = np.linalg.eig(M)
+    order = np.lexsort((w.imag, w.real))
+    w, Q = w[order], Q[:, order]
+    Qinv = np.linalg.solve(Q, np.eye(len(w), dtype=complex))
+    return Signal.from_terms([(np.outer(Q[:, k], Qinv[k]), 0, w[k])
+                              for k in range(len(w))], shape=M.shape)
+
+
+def _similar(eigenvalues, seed):
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(len(eigenvalues),) * 2)
+    return T @ np.diag(eigenvalues) @ np.linalg.inv(T)
+
+
+@pytest.mark.parametrize("case", ["distinct", "repeated", "slow", "rank0"])
+def test_modal_propagator_matches_the_dense_stack(case):
+    """The eigenbasis form Q diag(d(t)) Q^{-1} evaluates, differentiates,
+    integrates up to 4 times, applies and convolves like the dense stack
+    built apart from it, with a forcing term resonant with an eigenvalue."""
+    rng = np.random.default_rng(9)
+    M = {"distinct": lambda: _similar([-1.0, -0.5 + 1j, -0.5 - 1j, 0.3], 1),
+         "repeated": lambda: _similar([-1.0, -1.0, -0.5 + 1j, -0.5 - 1j, 0.3],
+                                      2),
+         "slow": lambda: weierstrass_with_mode(4, 4, 2, 0, -1e-4)[1].J,
+         "rank0": lambda: np.zeros((0, 0))}[case]()
+    r = len(M)
+    prop, dense = semigroup.propagator_signal(M), _dense_propagator(M)
+    assert len(prop.terms) == len(dense.terms) == r - (case == "repeated")
+    assert np.array_equal(prop.rates, dense.rates)
+    v = rng.normal(size=r) + 1j * rng.normal(size=r)
+    g = Signal.zero(r)
+    if r:  # its first term's rate is an eigenvalue of M
+        g = Signal.from_terms([(v, 0, prop.rates[0]),
+                               (rng.normal(size=r), 1, -0.3 + 0.5j)])
+    ts = np.linspace(0.0, 5.0, 11)
+
+    def close(got, ref):
+        got, ref = got(ts), ref(ts)
+        assert got.shape == ref.shape
+        scale = max(np.max(np.abs(ref), initial=0.0), np.finfo(float).tiny)
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+    for k in range(5):
+        A, D = prop.antiderivative(k), dense.antiderivative(k)
+        close(A, D)
+        close(A.derivative(), D.derivative())
+        close(A.matvec(v), D.matvec(v))
+        close(A.convolve(g), D.convolve(g))
+    if case == "slow":  # the mode -1e-4 took the series branch
+        assert np.max(prop.antiderivative(2).d.powers) > 2
+
+
+def test_benchmark_reads_the_modal_S_coord():
+    """perfbench's tracer records S_coord's terms and their bytes: at range
+    rank 64 these are 67 vectors, not 67 r x r matrices (4.19 MB), and
+    S_coord still gives one r x r matrix per time of the identity grid."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "perfbench"
+        / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    ev = build_evaluator(make_weierstrass(64, 16, 2)[0])
+    tracer = tracing.Tracer()
+    tracer.record_evaluator(ev)
+    [(terms, nbytes)] = tracer.s_coord_sizes
+    assert terms == 67 and nbytes / 2 ** 20 < 0.1
+    grid = np.array(semigroup.IDENTITY_GRID)
+    assert ev.S_coord(grid).shape == (4, 64, 64)
+
+
 @pytest.mark.parametrize("factor", [1.0, 1.01])
 def test_composition_residual_against_a_per_node_loop(factor):
     """(f) contracts the quadrature before the coefficients: its residual is
@@ -309,9 +385,10 @@ def test_propagator_solves_the_ode(diag_pencil):
     for t in (0.0, 0.7, 2.0):
         assert np.allclose(d(t), ev.A_R @ prop(t), atol=1e-12)
     assert np.allclose(prop(0.0), np.eye(ev.rank))
-    # S_r itself vanishes to order p at t = 0
+    # S_r itself vanishes to order p at t = 0; its terms hold the diagonal
+    # of each matrix coefficient in the eigenbasis Q
+    S = ev.S_coord
     vanish = Signal.from_terms(
-        [(c, pw, r) for (c, pw, r) in
-         ((t.coeff, t.power, t.rate) for t in ev.S_coord.terms)],
+        [((S.Q * t.coeff) @ S.Qinv, t.power, t.rate) for t in S.terms],
         shape=(ev.rank, ev.rank))
     assert np.allclose(vanish(0.0), 0.0, atol=1e-12)

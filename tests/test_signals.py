@@ -131,6 +131,25 @@ def test_convolution_against_quadrature():
         assert np.allclose(conv(t), quad, atol=1e-6)
 
 
+def test_componentwise_convolution_is_the_diagonal_kernel():
+    """A vector kernel d convolves componentwise: the same signal as the
+    matrix kernel diag(d), including at a rate shared with the input."""
+    rng = np.random.default_rng(8)
+    d = _rand_signal(rng, dim=3)
+    diag = Signal(np.einsum("ki,ij->kij", d.coeffs, np.eye(3)), d.powers,
+                  d.rates)
+    f = _rand_signal(rng, dim=3) + Signal.from_terms(
+        [(rng.normal(size=3), 1, d.rates[0])])
+    got, ref = d.convolve(f), diag.convolve(f)
+    assert np.array_equal(got.powers, ref.powers)
+    assert np.array_equal(got.rates, ref.rates)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * ref.magnitude()
+    for kernel, g in ((d, Signal.zero(2)), (diag, Signal.zero(2)),
+                      (d, Signal.zero((3, 3))), (Signal.zero(()), f)):
+        with pytest.raises(DimensionMismatch):
+            kernel.convolve(g)
+
+
 def test_laplace_against_quadrature():
     rng = np.random.default_rng(4)
     sig = _rand_signal(rng)
