@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AKerSingular, DimensionMismatch
-from .pencil import COND_CAP, Pencil, SubspaceBasis
+from .pencil import COND_CAP, Pencil, SubspaceBasis, gated_inverse
 from .signals import Signal
 from .subspaces import hilbert_decomposition
 
@@ -60,14 +60,11 @@ def restrict_to_kernel(p: Pencil) -> KernelRestriction:
     if Vx.rank != Vz.rank:
         raise AKerSingular(
             f"kernel dimensions differ: {Vx.rank} vs {Vz.rank}")
-    if Vx.rank == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return KernelRestriction(Vx, Vz, z, z, z, 0)
-    # Z_ker contains A X_ker by construction
+    # Z_ker contains A X_ker by construction; an empty A_ker passes through
     A_ker = Vz.basis.conj().T @ p.A @ Vx.basis
-    if np.linalg.cond(A_ker) > COND_CAP:
-        raise AKerSingular("A restricted to the kernel is numerically singular")
-    A_ker_inv = np.linalg.solve(A_ker, np.eye(A_ker.shape[0], dtype=complex))
+    A_ker_inv, _ = gated_inverse(
+        A_ker, COND_CAP, AKerSingular,
+        "A restricted to the kernel is numerically singular")
     N = Vz.basis.conj().T @ p.E @ Vx.basis @ A_ker_inv
     degree = _nilpotency_degree(N, rep.stagnation_k)
     return KernelRestriction(Vx, Vz, A_ker, A_ker_inv, N, degree)

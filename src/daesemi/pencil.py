@@ -161,24 +161,33 @@ class Chain:
     vectors: tuple[np.ndarray, ...]
 
 
-def resolvent(p: Pencil, lam: complex, cond_cap: float = COND_CAP) -> np.ndarray:
+def gated_inverse(M: np.ndarray, cap: float, error: type, what: str) -> tuple:
+    """(M^{-1}, kappa_1 = ||M||_1 ||M^{-1}||_1), within a factor n of the
+    2-norm condition number (Higham 2002, ch. 6, 15); raises ``error`` when
+    M has an exact zero pivot or kappa_1 exceeds ``cap``."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} (exactly singular)") from exc
+    cond = float(np.linalg.norm(M, 1) * np.linalg.norm(inv, 1))
+    if not cond <= cap:
+        raise error(f"{what} (1-norm condition {cond:.2e})")
+    return inv, cond
+
+
+def resolvent(p: Pencil, lam: complex) -> np.ndarray:
     """(lam E - A)^{-1}; least-squares pseudoinverse for rectangular pencils."""
     M = lam * p.E - p.A
     if not p.is_square:
         # analysis-only: full column rank required; the pseudoinverse is
         # formed from the same SVD, truncated as np.linalg.pinv would
         u, s, vh = np.linalg.svd(M, full_matrices=False)
-        if s[-1] <= s[0] / cond_cap:
+        if s[-1] <= s[0] / COND_CAP:
             raise SingularAtLambda(f"rank-deficient at lambda={lam}")
         keep = s > RANK_RCOND * s[0]
         return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-    try:
-        cond = np.linalg.cond(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularAtLambda(str(exc)) from exc
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise SingularAtLambda(f"cond {cond:.2e} at lambda={lam}")
-    return np.linalg.solve(M, np.eye(p.n_z, dtype=complex))
+    return gated_inverse(M, COND_CAP, SingularAtLambda,
+                         f"lam E - A at lambda={lam}")[0]
 
 
 @dataclass(frozen=True)
@@ -300,7 +309,7 @@ def _p_from_slope(slope: float) -> int:
 
 def _sample_norms(p: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lams, ||(lam E - A)^+||_2 = 1/sigma_min) from one batched SVD, on
-    the samples that pass ``resolvent``'s gate with SAMPLE_COND_CAP.
+    the samples whose sigma_max / sigma_min is below SAMPLE_COND_CAP.
 
     At high index sigma_max / sigma_min grows like lam^p_res past the cap,
     so a refused tail is dropped if MIN_FIT_SAMPLES lead it; any other

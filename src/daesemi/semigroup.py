@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
-from .pencil import COND_CAP, Pencil, SchurForm
+from .pencil import COND_CAP, Pencil, SchurForm, gated_inverse
 from .signals import ModalSignal, Signal, _combine
 from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
                         hilbert_decomposition)
@@ -48,22 +48,20 @@ def propagator_signal(M: np.ndarray) -> ModalSignal:
 
     The diagonal d has one term per distinct eigenvalue, whose coefficient
     is 1 on that eigenvalue's columns of Q.  Requires M to be
-    diagonalizable with an eigenbasis whose condition number, kept as the
-    result's ``cond``, is at most EIGVEC_COND_CAP.
+    diagonalizable with an eigenbasis whose 1-norm condition number, kept
+    as the result's ``cond``, is at most EIGVEC_COND_CAP.
     """
     r = M.shape[0]
     if r == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return ModalSignal(Signal.zero(0), empty, empty, 1.0)
     w, Q = np.linalg.eig(M)
-    cond = float(np.linalg.cond(Q))
-    if cond > EIGVEC_COND_CAP:
-        raise ClosedFormUnavailable(
-            "generator eigenbasis too ill-conditioned for closed form")
     # eigenpairs in the order Signal sorts its terms, so none is moved
     order = np.lexsort((w.imag, w.real))
     w, Q = w[order], Q[:, order]
-    Qinv = np.linalg.solve(Q, np.eye(r, dtype=complex))
+    Qinv, cond = gated_inverse(
+        Q, EIGVEC_COND_CAP, ClosedFormUnavailable,
+        "generator eigenbasis too ill-conditioned for closed form")
     # one term (k, 1, 0, w_k) per eigenvalue; equal eigenvalues share one
     d = _combine(np.eye(r, dtype=complex),
                  [(k, 1, 0, wk) for k, wk in enumerate(w)])
@@ -97,9 +95,9 @@ class SemigroupEvaluator:
         """S_l on Z_ran coordinates: A_L = mu I - (Z^H R_l(mu) Z)^{-1}."""
         dec, Z = self.decomposition, self.decomposition.Z_ran.basis
         R = Z.conj().T @ dec.pencil.E @ dec.R_mu @ Z
-        if not np.linalg.cond(R) <= COND_CAP:
-            raise ClosedFormUnavailable("R_l(mu) singular on Z_ran")
-        A_L = dec.mu * np.eye(len(R)) - np.linalg.inv(R)
+        R_inv, _ = gated_inverse(R, COND_CAP, ClosedFormUnavailable,
+                                 "R_l(mu) singular on Z_ran")
+        A_L = dec.mu * np.eye(len(R)) - R_inv
         return propagator_signal(A_L).antiderivative(self.p)
 
     @cached_property
@@ -173,10 +171,9 @@ def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
         return np.zeros(basis.shape[0], dtype=complex)
     if ev.backend == "closed_form":
         return basis @ ((ev._S_left if left else ev.S_coord)(t) @ c)
-    dec, lift = ev.decomposition, ev.V
-    if left:  # v0 = E V c for c = (S^{-1} v0)_1, (S^{-1} R_mu v0)_1 if reduced
-        v = basis @ c
-        c = dec.S_inv[:ev.rank] @ (v if ev.pencil.is_square else dec.R_mu @ v)
+    lift = ev.V
+    if left:  # v0 = E V c
+        c = ev.decomposition.image_part(basis @ c)
         lift = ev.pencil.E @ ev.V
 
     def sample(lams):  # coordinates of R_r(lam) V c / lam^p, as rows

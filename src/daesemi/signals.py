@@ -133,18 +133,12 @@ class Signal:
 
     def _repeat(self, rows_of, order: int) -> "Signal":
         """``order`` steps of the term map ``rows_of(powers, rates, later)``,
-        ``later`` the number of steps still to come, run on the K x K
-        identity when it is the smaller stack, then applied in one product."""
-        K = len(self.powers)
-        one_pass = order > 1 and K * K < self.coeffs.size
+        ``later`` the number of steps still to come."""
         sig = self
-        if one_pass:
-            sig = Signal(np.eye(K, dtype=complex), self.powers, self.rates)
         for j in range(order):
             sig = _combine(sig.coeffs,
                            rows_of(sig.powers, sig.rates, order - 1 - j))
-        return _nonzero(np.tensordot(sig.coeffs, self.coeffs, 1), sig.powers,
-                        sig.rates) if one_pass else sig
+        return sig
 
     def convolve(self, other: "Signal") -> "Signal":
         """(self * other)(t) = int_0^t self(t - tau) @ other(tau) d tau.
@@ -269,7 +263,7 @@ class ModalSignal:
     so a function of a diagonalizable generator costs K x r coefficients,
     not K x r x r.  Calculus and scaling act on ``d`` alone; a product
     with a vector or a vector signal passes through Q^{-1} and Q once.
-    ``cond`` is the condition number of Q.
+    ``cond`` is the 1-norm condition number ||Q||_1 ||Q^{-1}||_1 of Q.
     """
 
     d: Signal

@@ -210,9 +210,9 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
 
 
 def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
-    """Coefficient-wise least-squares solve of E (V c) = f, residual-gated."""
+    """Coefficient-wise c = (S^{-1} f)_1 (``image_part``), residual-gated."""
     EV = ev.pencil.E @ ev.V
-    C, *_ = np.linalg.lstsq(EV, f.coeffs.T, rcond=None)
+    C = ev.decomposition.image_part(f.coeffs.T)
     resid = np.linalg.norm(EV @ C - f.coeffs.T, axis=0)
     if np.any(resid > LIFT_TOL * max(f.magnitude(), 1.0)):
         raise LiftFailed(

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisMismatch, ClosedFormUnavailable, SingularAtLambda
-from .pencil import COND_CAP, Pencil, SubspaceBasis, svd_split
+from .pencil import COND_CAP, Pencil, SubspaceBasis, gated_inverse, svd_split
 
 ANGLE_TOL = 1e-6
 
@@ -75,14 +75,9 @@ class DecompositionReport:
         if V.shape[1] + K.shape[1] != q.n_x:
             raise BasisMismatch(f"X_ran and X_ker have dimensions {V.shape[1]}"
                                 f" and {K.shape[1]}, the state space {q.n_x}")
-        S = np.hstack([q.E @ V, q.A @ K])
-        try:
-            S_inv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:  # an exact zero pivot
-            S_inv = np.full_like(S, np.inf)
-        if not np.linalg.norm(S, 1) * np.linalg.norm(S_inv, 1) <= COND_CAP:
-            raise ClosedFormUnavailable("X_ran and X_ker do not split the pencil")
-        return S_inv
+        return gated_inverse(np.hstack([q.E @ V, q.A @ K]), COND_CAP,
+                             ClosedFormUnavailable,
+                             "X_ran and X_ker do not split the pencil")[0]
 
     @cached_property
     def A_R(self) -> np.ndarray:
@@ -93,6 +88,12 @@ class DecompositionReport:
         """Coordinates in X_ran of the part of x (a vector or columns) in
         X_ran taken along X_ker: (S^{-1} E x)_1 on ``square``."""
         return self.S_inv[:self.X_ran.rank] @ (self.square.E @ x)
+
+    def image_part(self, z: np.ndarray) -> np.ndarray:
+        """c with E V c the part of z (a vector or columns) in Z_ran taken
+        along A X_ker: (S^{-1} z)_1, or (S^{-1} R_mu z)_1 if reduced."""
+        z = z if self.pencil.is_square else self.R_mu @ z
+        return self.S_inv[:self.X_ran.rank] @ z
 
     @property
     def mu(self) -> float:

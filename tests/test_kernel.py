@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daesemi import (Pencil, Signal, make_weierstrass, restrict_to_kernel,
                      solve_kernel_inhomogeneity)
+from daesemi import kernel
 from daesemi.errors import AKerSingular, DimensionMismatch
+from daesemi.pencil import SubspaceBasis
 
 from conftest import nilpotent_of_index
 
@@ -83,4 +86,17 @@ def test_singular_pencil_rejected():
     from daesemi.errors import SingularAtLambda
     p = Pencil(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
     with pytest.raises(SingularAtLambda):
+        restrict_to_kernel(p)
+
+
+def test_numerically_singular_A_ker_rejected(monkeypatch):
+    """A Z_ker with a direction orthogonal to A X_ker leaves A_ker with a
+    zero row up to round-off: its gated inverse raises AKerSingular."""
+    p, _ = make_weierstrass(2, 2, 2, seed=0)
+    rep = kernel.hilbert_decomposition(p)
+    AX = p.A @ rep.X_ker.basis
+    Q = scipy.linalg.qr(AX)[0]
+    rep.Z_ker = SubspaceBasis(np.column_stack([Q[:, 0], Q[:, -1]]), 4)
+    monkeypatch.setattr(kernel, "hilbert_decomposition", lambda _: rep)
+    with pytest.raises(AKerSingular, match="numerically singular"):
         restrict_to_kernel(p)

@@ -11,12 +11,12 @@ import scipy.linalg
 
 from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      f_norm, forward_laplace, make_hamiltonian,
-                     make_transport, make_weierstrass, right_resolvent,
-                     verify_properties)
+                     make_transport, make_weierstrass, restrict_to_kernel,
+                     right_resolvent, verify_properties)
 from daesemi import pencil as pencil_module
 from daesemi import semigroup, solver
-from daesemi.errors import NotInXran
-from daesemi.pencil import SchurForm
+from daesemi.errors import ClosedFormUnavailable, NotInXran
+from daesemi.pencil import SchurForm, SubspaceBasis
 from daesemi.signals import Signal
 
 from conftest import nilpotent_of_index, weierstrass_with_mode
@@ -142,9 +142,12 @@ def test_contour_solve_takes_no_pencil_qz_or_eigvals(monkeypatch):
 
 def test_one_inverse_of_the_split(monkeypatch):
     """The generator, solve_full's coordinates and its gate all read the
-    decomposition's one S^{-1}: no least-squares solve, one eigensolve of
-    A_R per closed-form evaluator, and no condition number but that of
-    A_R's eigenbasis (propagator_signal's gate)."""
+    decomposition's one S^{-1}: no least-squares solve (the range lift of
+    solve_inhomogeneous_ran included) and one eigensolve of A_R per
+    closed-form evaluator.  Every gated inverse (S^{-1}, A_R's eigenbasis,
+    R_l(mu) on Z_ran for S_l, A_ker, and the resolvent at the shift that
+    verify_properties reads first) takes its condition number off the
+    inverse it forms, so no SVD condition number is taken."""
     shapes = {"lstsq": [], "eig": [], "eigvals": [], "cond": []}
     for name, calls in shapes.items():
         def counted(M, *args, _f=getattr(np.linalg, name), _calls=calls,
@@ -155,10 +158,43 @@ def test_one_inverse_of_the_split(monkeypatch):
     p, _ = make_weierstrass(2, 2, 2, seed=6)
     ev = build_evaluator(p)
     assert shapes["eig"] == [(2, 2)] and shapes["eigvals"] == []
-    shapes["cond"].clear()
     solver.solve_full(p, ev.V[:, 0], Signal.zero(4), [0.0, 1.0])
-    assert shapes["lstsq"] == []
-    assert shapes["cond"] == [(2, 2)]
+    verify_properties(ev)
+    restrict_to_kernel(p)
+    assert shapes["lstsq"] == [] and shapes["cond"] == []
+    solver.solve_inhomogeneous_ran(
+        p, ev.V[:, 0], Signal.constant(p.E @ ev.V[:, 1]), [0.0, 1.0])
+    assert shapes["lstsq"] == [] and shapes["cond"] == []
+
+
+@pytest.mark.parametrize("eps, refused", [(1e-3, False), (1e-12, True)])
+def test_propagator_refuses_an_ill_conditioned_eigenbasis(eps, refused):
+    """[[-1, 1], [0, -1 - eps]] has eigenvectors at angle about eps, so
+    its eigenbasis's condition number grows like 1/eps past
+    EIGVEC_COND_CAP."""
+    M = np.array([[-1.0, 1.0], [0.0, -1.0 - eps]])
+    if refused:
+        with pytest.raises(ClosedFormUnavailable, match="eigenbasis"):
+            semigroup.propagator_signal(M)
+        return
+    prop = semigroup.propagator_signal(M)
+    assert 1.0 <= prop.cond <= semigroup.EIGVEC_COND_CAP
+    assert np.allclose(prop(0.7), scipy.linalg.expm(0.7 * M), atol=1e-12)
+
+
+def test_S_l_refuses_a_singular_R_l_on_Z_ran():
+    """A Z_ran with a direction in ker R_l(mu) = (mu E - A) ker E makes
+    Z_ran^H R_l(mu) Z_ran numerically singular: S_l's gated inverse raises
+    ClosedFormUnavailable."""
+    p, _ = make_weierstrass(2, 2, 2, seed=0)
+    ev = build_evaluator(p)
+    dec = ev.decomposition
+    k = p.E_split[1].basis[:, 0]
+    Z = scipy.linalg.orth(np.column_stack(
+        [dec.Z_ran.basis[:, 0], (dec.mu * p.E - p.A) @ k]))
+    dec.Z_chain = dec.Z_chain[:-1] + [SubspaceBasis(Z, 4)]
+    with pytest.raises(ClosedFormUnavailable, match="R_l"):
+        eval_S_l(ev, 1.0, Z[:, 0])
 
 
 @pytest.mark.parametrize("maker", [
