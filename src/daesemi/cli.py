@@ -143,8 +143,8 @@ def _jsonable(obj):
 def _suite_lemma29(p: Pencil) -> dict:
     ev = build_evaluator(p)
     rep = verify_properties(ev)
-    # kappa_1 = ||Q||_1 ||Q^-1||_1 of A_R's eigenbasis Q, refused above
-    # EIGVEC_COND_CAP; none at rank 0
+    # kappa_1 = ||Q||_1 ||Q^-1||_1 of A_R's eigenbasis Q, read off the report's
+    # one Schur triangle of A_R, refused above EIGVEC_COND_CAP; none at rank 0
     cond = None if ev.S_coord is None else ev.S_coord.cond
     return {"residuals": rep.residuals, "passed": rep.passed,
             "all_passed": rep.all_passed, "tol": rep.tol,

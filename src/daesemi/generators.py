@@ -11,8 +11,7 @@ import scipy.linalg
 
 from .errors import BadShape, DaesemiError, GenerationFailed
 from .pencil import Pencil
-from .semigroup import propagator_signal
-from .signals import Signal
+from .signals import ModalSignal, Signal
 from .subspaces import check_disjointness, hilbert_decomposition
 
 HAMILTONIAN_DRAWS = 12
@@ -88,21 +87,21 @@ class WeierstrassOracle:
         pick1 = np.hstack([np.eye(ns), np.zeros((ns, nn))])
         pick2 = np.hstack([np.zeros((nn, ns)), np.eye(nn)])
         g1, g2 = g.apply(pick1), g.apply(pick2)
-        parts = []
+        u = Signal.zero(n)
         if ns:
-            prop = propagator_signal(self.J)
+            # exp(tJ) by numpy's eig, apart from the solvers' Schur path
+            w, Q = np.linalg.eig(self.J)
+            d = Signal.from_terms((np.eye(ns)[i], 0, w[i]) for i in range(ns))
+            prop = ModalSignal(d, Q, np.linalg.inv(Q), np.linalg.cond(Q, 1))
             u1 = prop.matvec(u0[:ns]) + prop.convolve(g1)
-            parts.append(u1.apply(pick1.T))
+            u = u + u1.apply(pick1.T)
         if nn:
             u2 = Signal.zero(nn)
             Ni = np.eye(nn, dtype=complex)
             for i in range(max(self.k, 1)):
                 u2 = u2 - g2.derivative(i).apply(Ni)
                 Ni = Ni @ self.N
-            parts.append(u2.apply(pick2.T))
-        u = parts[0]
-        for extra in parts[1:]:
-            u = u + extra
+            u = u + u2.apply(pick2.T)
         return u.apply(np.linalg.inv(self.S))
 
     def consistent_x0(self, x0, f: Signal | None = None) -> np.ndarray:

@@ -8,7 +8,7 @@ caches ran E, ker E and its scale from one SVD of E, and its first regular
 shift.  Contour nodes are not solved on the pencil: the split's generator
 A_R, solved at many shifts, is factored once into complex Schur form
 (``SchurForm``), and every node is one back-substitution with it, gated by
-a batched 1-norm condition estimate.
+a batched 1-norm condition estimate; its triangle also gives A_R's eigenbasis.
 """
 
 from __future__ import annotations
@@ -205,6 +205,21 @@ class SchurForm:
     @classmethod
     def of(cls, M: np.ndarray) -> "SchurForm":
         return cls(*scipy.linalg.schur(M, output="complex"))
+
+    def eigenvectors(self) -> np.ndarray:
+        """Unit 2-norm eigenvectors U X of M, X_kk = 1, (T - T_kk) X[:, k] = 0,
+        X solved from its bottom row up.  As in ztrevc, a pivot T_kk - T_ii
+        below max(eps |T_kk|, tiny) is raised to it: diagonal T gives X = I."""
+        w, X = self.T.diagonal(), np.eye(len(self.T), dtype=complex)
+        d = w - w[:, None]                                   # T_kk - T_ii
+        floor = np.maximum(np.finfo(float).eps * np.abs(w),
+                           np.finfo(float).tiny)
+        d = np.where(np.abs(d) < floor, floor, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(w) - 2, -1, -1):
+                j = slice(i + 1, None)
+                X[i, j] = self.T[i, j] @ X[j, j] / d[i, j]
+            return self.U @ (X / np.linalg.norm(X, axis=0))
 
     def solve_at(self, lams, b: np.ndarray) -> np.ndarray:
         """(lam_k - M)^{-1} b for every lam_k in ``lams``, one row each.

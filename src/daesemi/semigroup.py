@@ -4,17 +4,18 @@ S_r(t) is the p-fold time integral of the solution propagator on X_ran,
 characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
 closed-form backend integrates exp(t A_R) analytically, A_R the generator
 of the decomposition's split (E V A_R = A V on X_ran, from its S^{-1}).
-It holds exp(t A_R) and S_r in A_R's eigenbasis, A_R = Q diag(w) Q^{-1}:
-by the spectral calculus S_r(t) = Q diag(phi_p(t, w)) Q^{-1}, with
-phi_p(t, w) = int_0^t (t - s)^{p-1} / (p-1)! e^{s w} ds, so the p
-integrations act on the vector signal phi_p alone (``ModalSignal``).
-The contour backend inverts R_r(lam) x0 / lam^p numerically.  In the
+It holds exp(t A_R) and S_r in A_R's eigenbasis A_R = Q diag(w) Q^{-1},
+read off the decomposition's one Schur triangle of A_R: by the spectral
+calculus S_r(t) = Q diag(phi_p(t, w)) Q^{-1}, with phi_p(t, w) =
+int_0^t (t - s)^{p-1} / (p-1)! e^{s w} ds, so the p integrations act on
+the vector signal phi_p alone (``ModalSignal``).  The contour backend
+inverts R_r(lam) x0 / lam^p numerically.  In the
 split's quasi-Weierstrass form S^{-1} (lam E - A) [V | K] =
 diag(lam - A_R, lam N - I), so (lam E - A)^{-1} E V c = V (lam - A_R)^{-1} c
 (Berger, Ilchmann & Trenn, LAA 436 (2012)): every node, on square and
 rectangular pencils alike, is sampled in X_ran coordinates by one batched
-triangular sweep with the evaluator's one Schur form of A_R, whose
-diagonal is the contour's spectrum.
+triangular sweep with that same Schur form, whose diagonal is the
+spectrum of both backends.
 
 S_l, characterized on Z_ran = E X_ran by R_l(lam) = E (lam E - A)^{-1} in
 the same way, is built the same two ways from the Z side of the same
@@ -33,62 +34,33 @@ import numpy as np
 from .errors import ClosedFormUnavailable, DisjointnessViolated, NotInXran
 from .laplace import bromwich_invert, contour_for
 from .pencil import COND_CAP, Pencil, SchurForm, gated_inverse
-from .signals import ModalSignal, Signal, _combine
+from .signals import ModalSignal
 from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
-                        hilbert_decomposition)
+                        hilbert_decomposition, propagator_signal)
 
 XRAN_TOL = 1e-8
-EIGVEC_COND_CAP = 1e8
 IDENTITY_GRID = (0.1, 0.5, 1.0, 2.0)
 IDENTITY_TOL = 1e-6
 
 
-def propagator_signal(M: np.ndarray) -> ModalSignal:
-    """exp(t M) = Q diag(e^{t w}) Q^{-1}, held in M's eigenbasis Q.
-
-    The diagonal d has one term per distinct eigenvalue, whose coefficient
-    is 1 on that eigenvalue's columns of Q.  Requires M to be
-    diagonalizable with an eigenbasis whose 1-norm condition number, kept
-    as the result's ``cond``, is at most EIGVEC_COND_CAP.
-    """
-    r = M.shape[0]
-    if r == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return ModalSignal(Signal.zero(0), empty, empty, 1.0)
-    w, Q = np.linalg.eig(M)
-    # eigenpairs in the order Signal sorts its terms, so none is moved
-    order = np.lexsort((w.imag, w.real))
-    w, Q = w[order], Q[:, order]
-    Qinv, cond = gated_inverse(
-        Q, EIGVEC_COND_CAP, ClosedFormUnavailable,
-        "generator eigenbasis too ill-conditioned for closed form")
-    # one term (k, 1, 0, w_k) per eigenvalue; equal eigenvalues share one
-    d = _combine(np.eye(r, dtype=complex),
-                 [(k, 1, 0, wk) for k, wk in enumerate(w)])
-    return ModalSignal(d, Q, Qinv, cond)
-
-
 @dataclass
 class SemigroupEvaluator:
-    """Configured evaluator of S_r(t) (and lazily S_l, S_r^(p))."""
+    """Evaluator of S_r(t) (and lazily S_l) on its decomposition's X_ran."""
 
-    pencil: Pencil
+    decomposition: DecompositionReport
     p: int
     backend: str
-    decomposition: DecompositionReport
     omega: float
-    V: np.ndarray                      # orthonormal basis of X_ran
-    A_R: np.ndarray | None             # generator on X_ran coordinates
-    prop: ModalSignal | None           # exp(t A_R) in A_R's eigenbasis
-    S_coord: ModalSignal | None        # p-fold antiderivative of prop
-    spectrum: np.ndarray | None = None  # of A_R; None without A_R
-    # A_R = U T U^H on the contour backend: (lam - A_R)^{-1} c are the X_ran
-    # coordinates of (lam E - A)^{-1} E V c at every node (``solve_at``)
-    schur: SchurForm | None = None
+    S_coord: ModalSignal | None  # p-fold antiderivative of its report's prop
 
     @property
     def rank(self) -> int:
-        return self.V.shape[1]
+        return self.decomposition.X_ran.rank
+
+    @property
+    def V(self) -> np.ndarray:
+        """Orthonormal basis of X_ran."""
+        return self.decomposition.X_ran.basis
 
     @cached_property
     def _S_left(self) -> ModalSignal:
@@ -98,12 +70,13 @@ class SemigroupEvaluator:
         R_inv, _ = gated_inverse(R, COND_CAP, ClosedFormUnavailable,
                                  "R_l(mu) singular on Z_ran")
         A_L = dec.mu * np.eye(len(R)) - R_inv
-        return propagator_signal(A_L).antiderivative(self.p)
+        return propagator_signal(SchurForm.of(A_L)).antiderivative(self.p)
 
     @cached_property
     def _angle_kerE(self) -> float:
         """Smallest principal angle between X_ran and ker E."""
-        return angle_to_kerE(self.decomposition.X_ran, self.pencil)
+        dec = self.decomposition
+        return angle_to_kerE(dec.X_ran, dec.pencil)
 
     def project(self, x0: np.ndarray) -> np.ndarray:
         """Coordinates in X_ran of x0, a vector or a matrix of columns."""
@@ -133,34 +106,22 @@ def build_evaluator(p: Pencil,
     """The p-times integrated semigroup of p on its range space X_ran.
 
     The decomposition fixes both: the generator is its A_R, and p is
-    ``stagnation_k + 1``, since Wong's sequences stop at the index.  The
-    closed form reads the spectrum off its propagator's rates (one per
-    distinct eigenvalue); the contour backend reads it off the diagonal of
-    its one Schur form of A_R and never builds the closed form, so ``prop``
-    and ``S_coord`` stay None.
+    ``stagnation_k + 1``, since Wong's sequences stop at the index.  Both
+    backends take omega from the spectrum on the diagonal of its one Schur
+    form of A_R; only the closed form builds S_coord, from its ``prop``.
     """
     if backend not in ("closed_form", "contour"):
         raise ValueError(f"unknown backend {backend!r}")
     omega = p.omega_hint if p.omega_hint is not None else 0.0
-    decomposition = hilbert_decomposition(p)
-    p_int = decomposition.stagnation_k + 1
-    V = decomposition.X_ran.basis
-    r = V.shape[1]
-    A_R = prop = S_coord = spectrum = schur = None
-    if r > 0:
-        A_R = decomposition.A_R
+    rep = hilbert_decomposition(p)
+    p_int = rep.stagnation_k + 1
+    S_coord = None
+    if rep.X_ran.rank:
+        omega = max(float(np.max(rep.schur.T.diagonal().real)), omega)
         if backend == "closed_form":
-            prop = propagator_signal(A_R)
-            S_coord = prop.antiderivative(p_int)
-            spectrum = prop.rates
-        else:
-            schur = SchurForm.of(A_R)
-            spectrum = schur.T.diagonal()
-        omega = max(float(np.max(spectrum.real)), omega)
-    return SemigroupEvaluator(pencil=p, p=p_int, backend=backend,
-                              decomposition=decomposition, omega=omega,
-                              V=V, A_R=A_R, prop=prop, S_coord=S_coord,
-                              spectrum=spectrum, schur=schur)
+            S_coord = rep.prop.antiderivative(p_int)
+    return SemigroupEvaluator(decomposition=rep, p=p_int, backend=backend,
+                              omega=omega, S_coord=S_coord)
 
 
 def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
@@ -171,16 +132,16 @@ def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
         return np.zeros(basis.shape[0], dtype=complex)
     if ev.backend == "closed_form":
         return basis @ ((ev._S_left if left else ev.S_coord)(t) @ c)
-    lift = ev.V
+    dec, lift = ev.decomposition, ev.V
     if left:  # v0 = E V c
-        c = ev.decomposition.image_part(basis @ c)
-        lift = ev.pencil.E @ ev.V
+        c = dec.image_part(basis @ c)
+        lift = dec.pencil.E @ ev.V
 
     def sample(lams):  # coordinates of R_r(lam) V c / lam^p, as rows
-        return ev.schur.solve_at(lams, c) / lams[:, None] ** ev.p
+        return dec.schur.solve_at(lams, c) / lams[:, None] ** ev.p
 
     # lam^{-p} adds a pole at 0 to the spectrum of A_R
-    cfg = contour_for(t, ev.omega, np.append(ev.spectrum, 0.0))
+    cfg = contour_for(t, ev.omega, np.append(dec.schur.T.diagonal(), 0.0))
     return lift @ bromwich_invert(sample, cfg)
 
 
@@ -209,8 +170,8 @@ def cp_semigroup(ev: SemigroupEvaluator, t: float) -> np.ndarray:
             f"range space meets ker E (angle {ev._angle_kerE:.2e})")
     require_closed_form(ev, "propagator extraction")
     if ev.rank == 0:
-        return np.zeros((ev.pencil.n_x, ev.pencil.n_x), dtype=complex)
-    return ev.V @ ev.prop(t) @ ev.V.conj().T
+        return np.zeros((len(ev.V),) * 2, dtype=complex)
+    return ev.V @ ev.decomposition.prop(t) @ ev.V.conj().T
 
 
 def f_norm(ev: SemigroupEvaluator, x0: np.ndarray) -> float:
@@ -220,7 +181,7 @@ def f_norm(ev: SemigroupEvaluator, x0: np.ndarray) -> float:
     if ev.rank == 0:
         return 0.0
     ts = np.linspace(0.0, 10.0, 200)
-    vals = ev.prop(ts) @ c
+    vals = ev.decomposition.prop(ts) @ c
     return float(np.max(np.exp(-ev.omega * ts)
                         * np.linalg.norm(vals, axis=1)))
 
@@ -263,11 +224,10 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     require_closed_form(ev, "identity verification")
     if ev.rank == 0:
         return PropertyReport(dict.fromkeys("abcdf", 0.0))
-    E, A, V, p = ev.pencil.E, ev.pencil.A, ev.V, ev.p
-    S = ev.S_coord
-    W = ev.decomposition.Z_ran.basis
-    Rr = ev.decomposition.R_mu @ E
-    scale = max(ev.pencil.scale, 1.0)
+    dec, V, p, S = ev.decomposition, ev.V, ev.p, ev.S_coord
+    E, A, W = dec.pencil.E, dec.pencil.A, dec.Z_ran.basis
+    Rr = dec.R_mu @ E
+    scale = max(dec.pencil.scale, 1.0)
     ts = np.asarray(IDENTITY_GRID, dtype=float)
 
     def mnorm(M):

@@ -276,10 +276,6 @@ class ModalSignal:
         return self.Q.shape
 
     @property
-    def rates(self) -> np.ndarray:
-        return self.d.rates
-
-    @property
     def terms(self) -> tuple[Term, ...]:
         """The terms of ``d``: one coefficient per eigenvector."""
         return self.d.terms

@@ -29,7 +29,7 @@ from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
 from .pencil import Pencil, resolvent  # noqa: F401
-from .semigroup import SemigroupEvaluator, build_evaluator, propagator_signal
+from .semigroup import SemigroupEvaluator, build_evaluator
 from .signals import Signal
 from .subspaces import hilbert_decomposition
 
@@ -162,7 +162,7 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     when the evaluator's spectrum of A_R fits inside it at that time and on
     the Euler-accelerated line otherwise (``contour_for``).  F is sampled in
     X_ran coordinates, (lam - A_R)^{-1} c0 with c0 those of x(0), by one
-    batched back-substitution with the evaluator's one Schur form of A_R,
+    batched back-substitution with the decomposition's one Schur form of A_R,
     gated node by node by a batched 1-norm condition estimate
     (``SchurForm.solve_at``); one call takes the 41 (hyperbola) or 109
     (line) nodes of every output time, a long grid in blocks of about
@@ -181,10 +181,10 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     c0 = ev.decomposition.ran_part(x0)
     dist = float(np.linalg.norm(x0 - ev.V @ c0))
     _check_consistent(x0, dist, strict)
-    r = ev.rank
+    r, schur = ev.rank, ev.decomposition.schur
 
     def sample(lams):  # coordinates of the transforms of x and x', as rows
-        F = ev.schur.solve_at(lams, c0)
+        F = schur.solve_at(lams, c0)
         return np.hstack([F, lams[:, None] * F - c0])
 
     ts = np.asarray(ts, dtype=float)
@@ -192,7 +192,7 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     coords[ts == 0, :r] = c0
     # X_ran = 0 leaves x = 0 at every t, with no contour to sample
     pos = np.flatnonzero(ts != 0) if r else np.zeros(0, dtype=int)
-    cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts[pos]]
+    cfgs = [contour_for(t, ev.omega, schur.T.diagonal()) for t in ts[pos]]
     block = np.cumsum([len(cfg.nodes) * r for cfg in cfgs]) // SWEEP_ENTRIES
     for b in np.unique(block):
         coords[pos[block == b]] = bromwich_invert(
@@ -211,7 +211,7 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
 
 def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
     """Coefficient-wise c = (S^{-1} f)_1 (``image_part``), residual-gated."""
-    EV = ev.pencil.E @ ev.V
+    EV = ev.decomposition.pencil.E @ ev.V
     C = ev.decomposition.image_part(f.coeffs.T)
     resid = np.linalg.norm(EV @ C - f.coeffs.T, axis=0)
     if np.any(resid > LIFT_TOL * max(f.magnitude(), 1.0)):
@@ -251,9 +251,8 @@ def solve_full(p: Pencil, x0, f: Signal, ts) -> Trajectory:
     r = V.shape[1]
     x_sig = Signal.zero(p.n_x)
     if r:
-        prop = propagator_signal(rep.A_R)
-        xi = (prop.matvec(rep.ran_part(x0))
-              + prop.convolve(f.apply(S_inv[:r])))
+        xi = (rep.prop.matvec(rep.ran_part(x0))
+              + rep.prop.convolve(f.apply(S_inv[:r])))
         x_sig = xi.apply(V)
     if r < p.n_x:
         eta = derivative_sum(S_inv[r:] @ p.E @ K, f.apply(S_inv[r:]),

@@ -19,9 +19,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisMismatch, ClosedFormUnavailable, SingularAtLambda
-from .pencil import COND_CAP, Pencil, SubspaceBasis, gated_inverse, svd_split
+from .pencil import (COND_CAP, Pencil, SchurForm, SubspaceBasis,
+                     gated_inverse, svd_split)
+from .signals import ModalSignal, _combine
 
 ANGLE_TOL = 1e-6
+EIGVEC_COND_CAP = 1e8
 
 
 def principal_angles(U: SubspaceBasis, V: SubspaceBasis) -> np.ndarray:
@@ -47,13 +50,30 @@ def complement_in(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
     return svd_split(resid, rcond=1e-8)[0]
 
 
+def propagator_signal(schur: SchurForm) -> ModalSignal:
+    """exp(t M) = Q diag(e^{t w}) Q^{-1}, M = U T U^H, in the eigenbasis Q
+    read off T (``SchurForm.eigenvectors``); d has one term per distinct
+    eigenvalue, 1 on its columns of Q.  Refuses an eigenbasis whose 1-norm
+    condition number, kept as ``cond``, exceeds EIGVEC_COND_CAP."""
+    w, Q = schur.T.diagonal(), schur.eigenvectors()
+    order = np.lexsort((w.imag, w.real))  # Signal's term order: none moves
+    w, Q = w[order], Q[:, order]
+    Qinv, cond = gated_inverse(
+        Q, EIGVEC_COND_CAP, ClosedFormUnavailable,
+        "generator eigenbasis too ill-conditioned for closed form")
+    # one term (k, 1, 0, w_k) per eigenvalue; equal eigenvalues share one
+    d = _combine(np.eye(len(w), dtype=complex),
+                 [(k, 1, 0, wk) for k, wk in enumerate(w)])
+    return ModalSignal(d, Q, Qinv, cond)
+
+
 @dataclass
 class DecompositionReport:
     """The V iterates, one step past stagnation, and X_ker = W at the index
-    stagnation_k.  On first read: the split's S^{-1} and from it A_R, the
-    pencil's shift mu and R_mu = (mu E - A)^{-1}, the left chain and kernel,
-    and the left levels (W_Z[i] = level i+1, the complement of Z_{i+1} in
-    Z_i)."""
+    stagnation_k.  On first read: the split's S^{-1}, A_R, its Schur form and
+    exp(t A_R), the pencil's shift mu and R_mu = (mu E - A)^{-1}, the left
+    chain and kernel, and the left levels (W_Z[i] = level i+1, the
+    complement of Z_{i+1} in Z_i)."""
 
     pencil: Pencil
     square: Pencil    # the pencil the split ran on: ``pencil`` or its reduction
@@ -83,6 +103,17 @@ class DecompositionReport:
     def A_R(self) -> np.ndarray:
         """The split's generator (S^{-1} A V)_1: E V A_R = A V, V = X_ran."""
         return self.S_inv[:self.X_ran.rank] @ self.square.A @ self.X_ran.basis
+
+    @cached_property
+    def schur(self) -> SchurForm:
+        """A_R = U T U^H, its one factorization: the spectrum (T's diagonal),
+        the contour's node solves and ``prop``'s eigenbasis all read it."""
+        return SchurForm.of(self.A_R)
+
+    @cached_property
+    def prop(self) -> ModalSignal:
+        """exp(t A_R) in A_R's eigenbasis (``propagator_signal``)."""
+        return propagator_signal(self.schur)
 
     def ran_part(self, x: np.ndarray) -> np.ndarray:
         """Coordinates in X_ran of the part of x (a vector or columns) in

@@ -13,7 +13,7 @@ from daesemi.errors import BadShape
 from daesemi.fileio import (parse_trajectory_csv, pencil_from_dict,
                             pencil_to_dict, read_pencil, read_signal,
                             trajectory_csv, write_pencil, write_signal)
-from daesemi.semigroup import EIGVEC_COND_CAP
+from daesemi.subspaces import EIGVEC_COND_CAP
 
 
 @pytest.fixture

@@ -180,16 +180,18 @@ def test_qz_shifted_solve_matches_resolvent(k):
     pencil ill-conditioned at index 3 and 4, no longer enters."""
     p, _ = make_weierstrass(6, 6, k, seed=70 + k)
     ev = build_evaluator(p, backend="contour")
+    dec = ev.decomposition
+    spectrum = dec.schur.T.diagonal()
     rng = np.random.default_rng(k)
     c = rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)
     I = np.eye(ev.rank)
-    assert all(contour_for(t, ev.omega, ev.spectrum).kind == "hyperbola"
+    assert all(contour_for(t, ev.omega, spectrum).kind == "hyperbola"
                for t in (0.25, 1.0, 1.5))
     for t in (0.25, 1.0, 1.5):
         lams = (_contour_nodes(t, ev.omega)
-                + _contour_nodes(t, ev.omega, ev.spectrum))
-        for lam, x in zip(lams, ev.schur.solve_at(lams, c)):
-            M = lam * I - ev.A_R
+                + _contour_nodes(t, ev.omega, spectrum))
+        for lam, x in zip(lams, dec.schur.solve_at(lams, c)):
+            M = lam * I - dec.A_R
             assert np.linalg.norm(M @ x - c) <= 1e-14 * (
                 np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(c))
             ref = np.linalg.solve(M, c)
@@ -214,10 +216,11 @@ def test_rectangular_sampler_matches_least_squares(mixed):
     x1[0] = 0.0
     c = ev.project(np.concatenate([x1, np.full(m, x1[-1])]))
     b = p.E @ (ev.V @ c)
+    schur = ev.decomposition.schur
     for t in (0.25, 1.0, 1.5):
         lams = (_contour_nodes(t, ev.omega)
-                + _contour_nodes(t, ev.omega, ev.spectrum))
-        for lam, y in zip(lams, ev.schur.solve_at(lams, c)):
+                + _contour_nodes(t, ev.omega, schur.T.diagonal()))
+        for lam, y in zip(lams, schur.solve_at(lams, c)):
             M = lam * p.E - p.A
             ref = np.linalg.lstsq(M, b, rcond=None)[0]
             tol = max(1e-10, 1e-14 * np.linalg.cond(M))
@@ -229,7 +232,7 @@ def test_sampler_refuses_nodes_at_the_generator_spectrum():
     # block, so lam - A_R is numerically singular at a node there
     ev = build_evaluator(make_transport(4, 4), backend="contour")
     with pytest.raises(SingularAtLambda, match=r"lambda=\(-4"):
-        ev.schur.solve_at([1.0, -4.0], np.ones(ev.rank))
+        ev.decomposition.schur.solve_at([1.0, -4.0], np.ones(ev.rank))
     # a zero column leaves lam E - A rank-deficient at every lam: the shift
     # search refuses the pencil; a wide pencil (make_transport(4, 3)
     # transposed) is refused by the split
@@ -264,7 +267,8 @@ def test_batched_gate_refuses_what_ztrcon_refuses(case, diag_pencil):
     per-node ztrcon refuses, and where both accept it is within a factor 2
     of ztrcon's."""
     A_R = diag_pencil.A if case == "diag" else build_evaluator(
-        make_weierstrass(8, 8, case, seed=case)[0], backend="contour").A_R
+        make_weierstrass(8, 8, case, seed=case)[0],
+        backend="contour").decomposition.A_R
     schur = SchurForm.of(A_R)
     w = np.linalg.eigvals(A_R)
     steps = np.logspace(1, -18, 60)

@@ -14,10 +14,11 @@ from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      make_transport, make_weierstrass, restrict_to_kernel,
                      right_resolvent, verify_properties)
 from daesemi import pencil as pencil_module
-from daesemi import semigroup, solver
+from daesemi import semigroup, solver, subspaces
 from daesemi.errors import ClosedFormUnavailable, NotInXran
 from daesemi.pencil import SchurForm, SubspaceBasis
 from daesemi.signals import Signal
+from daesemi.subspaces import propagator_signal
 
 from conftest import nilpotent_of_index, weierstrass_with_mode
 
@@ -100,7 +101,7 @@ def test_contour_S_l_matches_closed_form(k):
 
 def test_one_analysis_per_evaluator(monkeypatch):
     """S_r and S_l reuse the evaluator's decomposition and its one r x r
-    Schur form of A_R; the closed form takes none."""
+    Schur form of A_R; the closed form's S_l takes one more, of A_L."""
     calls = {"decomposition": 0, "schur": []}
     decompose, schur_of = semigroup.hilbert_decomposition, SchurForm.of
 
@@ -117,12 +118,55 @@ def test_one_analysis_per_evaluator(monkeypatch):
     monkeypatch.setattr(SchurForm, "of", staticmethod(counted_schur))
     p, _ = make_weierstrass(2, 2, 2, seed=6)
     verify_properties(build_evaluator(p))
-    assert calls == {"decomposition": 1, "schur": []}
+    assert calls == {"decomposition": 1, "schur": [(2, 2), (2, 2)]}
     ev = build_evaluator(p, backend="contour")
     x0 = ev.V[:, 0]
     eval_S_r(ev, 1.0, x0)
     eval_S_l(ev, 1.0, p.E @ x0)
-    assert calls == {"decomposition": 2, "schur": [(2, 2)]}
+    assert calls == {"decomposition": 2, "schur": [(2, 2)] * 3}
+
+
+_X0 = np.linalg.inv(make_weierstrass(3, 3, 2, seed=4)[1].S)[:, 0]  # in X_ran
+_TS = [0.0, 0.5]
+# route -> (the call, its Schur forms: A_R, and A_L where S_l is read)
+_FACTOR_ROUTES = {
+    "full": (lambda p: solver.solve_full(p, _X0, Signal.zero(6), _TS), 1),
+    "decomp": (lambda p: solver.solve_homogeneous(p, _X0, _TS), 1),
+    "contour": (lambda p: solver.solve_homogeneous(p, _X0, _TS,
+                                                   method="contour"), 1),
+    "convolution": (lambda p: solver.solve_inhomogeneous_ran(
+        p, _X0, Signal.constant(p.A @ _X0), _TS), 1),
+    "verify": (lambda p: verify_properties(build_evaluator(p)), 2),
+    "cp_semigroup": (lambda p: cp_semigroup(build_evaluator(p), 1.0), 1),
+}
+
+
+@pytest.mark.parametrize("route", _FACTOR_ROUTES)
+def test_one_split_and_one_schur_form_per_route(monkeypatch, route):
+    """Every route splits the pencil once and factors its generator A_R
+    once, plus A_L where S_l is read; none calls np.linalg.eig."""
+    calls = {"split": 0, "schur": []}
+    decompose, schur_of = subspaces.hilbert_decomposition, SchurForm.of
+
+    def counted_decomposition(p):
+        calls["split"] += 1
+        return decompose(p)
+
+    def counted_schur(M):
+        calls["schur"].append(np.shape(M))
+        return schur_of(M)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    for module in (semigroup, solver):
+        monkeypatch.setattr(module, "hilbert_decomposition",
+                            counted_decomposition)
+    monkeypatch.setattr(SchurForm, "of", staticmethod(counted_schur))
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    solve, schur_forms = _FACTOR_ROUTES[route]
+    solve(make_weierstrass(3, 3, 2, seed=4)[0])
+    assert calls == {"split": 1, "schur": [(3, 3)] * schur_forms}
 
 
 def test_contour_solve_takes_no_pencil_qz_or_eigvals(monkeypatch):
@@ -143,11 +187,11 @@ def test_contour_solve_takes_no_pencil_qz_or_eigvals(monkeypatch):
 def test_one_inverse_of_the_split(monkeypatch):
     """The generator, solve_full's coordinates and its gate all read the
     decomposition's one S^{-1}: no least-squares solve (the range lift of
-    solve_inhomogeneous_ran included) and one eigensolve of A_R per
-    closed-form evaluator.  Every gated inverse (S^{-1}, A_R's eigenbasis,
-    R_l(mu) on Z_ran for S_l, A_ker, and the resolvent at the shift that
-    verify_properties reads first) takes its condition number off the
-    inverse it forms, so no SVD condition number is taken."""
+    solve_inhomogeneous_ran included) and no eigensolve.  Every gated
+    inverse (S^{-1}, A_R's eigenbasis, R_l(mu) on Z_ran for S_l, A_ker, and
+    the resolvent at the shift that verify_properties reads first) takes
+    its condition number off the inverse it forms, so no SVD condition
+    number is taken."""
     shapes = {"lstsq": [], "eig": [], "eigvals": [], "cond": []}
     for name, calls in shapes.items():
         def counted(M, *args, _f=getattr(np.linalg, name), _calls=calls,
@@ -157,7 +201,7 @@ def test_one_inverse_of_the_split(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     p, _ = make_weierstrass(2, 2, 2, seed=6)
     ev = build_evaluator(p)
-    assert shapes["eig"] == [(2, 2)] and shapes["eigvals"] == []
+    assert shapes["eig"] == shapes["eigvals"] == []
     solver.solve_full(p, ev.V[:, 0], Signal.zero(4), [0.0, 1.0])
     verify_properties(ev)
     restrict_to_kernel(p)
@@ -167,19 +211,49 @@ def test_one_inverse_of_the_split(monkeypatch):
     assert shapes["lstsq"] == [] and shapes["cond"] == []
 
 
-@pytest.mark.parametrize("eps, refused", [(1e-3, False), (1e-12, True)])
+@pytest.mark.parametrize("eps, refused",
+                         [(1e-3, False), (1e-12, True), (0.0, True)])
 def test_propagator_refuses_an_ill_conditioned_eigenbasis(eps, refused):
     """[[-1, 1], [0, -1 - eps]] has eigenvectors at angle about eps, so
     its eigenbasis's condition number grows like 1/eps past
-    EIGVEC_COND_CAP."""
+    EIGVEC_COND_CAP; at eps = 0, a Jordan block, the pivot floor leaves
+    them at angle about machine epsilon."""
     M = np.array([[-1.0, 1.0], [0.0, -1.0 - eps]])
     if refused:
         with pytest.raises(ClosedFormUnavailable, match="eigenbasis"):
-            semigroup.propagator_signal(M)
+            propagator_signal(SchurForm.of(M))
         return
-    prop = semigroup.propagator_signal(M)
-    assert 1.0 <= prop.cond <= semigroup.EIGVEC_COND_CAP
+    prop = propagator_signal(SchurForm.of(M))
+    assert 1.0 <= prop.cond <= subspaces.EIGVEC_COND_CAP
     assert np.allclose(prop(0.7), scipy.linalg.expm(0.7 * M), atol=1e-12)
+
+
+@pytest.mark.parametrize("diag", [[-1.0] * 3, [-1.0, -1.0, -2.0, -1.0]])
+def test_exactly_repeated_eigenvalues_give_unit_eigenvectors(diag):
+    """ztrevc's pivot floor: an eigenvalue repeated exactly on a diagonal
+    triangle gives unit eigenvectors, so kappa_1 = 1 and exp(tM) is exact."""
+    prop = propagator_signal(SchurForm.of(np.diag(diag)))
+    assert prop.cond == 1.0
+    for t in (0.5, 2.0):
+        assert np.array_equal(prop(t), np.diag(np.exp(t * np.array(diag))))
+
+
+@pytest.mark.parametrize("r", [1, 16, 64, 128])
+def test_report_closed_form_matches_expm(r):
+    """The report's exp(t A_R), in the eigenbasis read off its Schur
+    triangle, matches scipy's expm to 1e-13 relative."""
+    rep = subspaces.hilbert_decomposition(make_weierstrass(r, 2, 2, seed=r)[0])
+    for t in (0.1, 0.5, 1.0, 2.0):
+        ref = scipy.linalg.expm(t * rep.A_R)
+        assert np.linalg.norm(rep.prop(t) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_transport_generator_has_no_closed_form():
+    """make_transport's generator is defective (one Jordan block): its
+    triangular eigenvectors are nearly parallel, so the closed form is
+    refused."""
+    with pytest.raises(ClosedFormUnavailable, match="eigenbasis"):
+        build_evaluator(make_transport(16, 16))
 
 
 def test_S_l_refuses_a_singular_R_l_on_Z_ran():
@@ -219,7 +293,7 @@ def test_slow_mode_semigroup(k, mode, seed):
     assert verify_properties(ev).all_passed
     r, p = ev.rank, ev.p
     M = np.zeros((r * (p + 1),) * 2, dtype=complex)
-    M[:r, :r] = ev.A_R
+    M[:r, :r] = ev.decomposition.A_R
     for i in range(p):
         M[i * r:(i + 1) * r, (i + 1) * r:(i + 2) * r] = np.eye(r)
     for t in (0.5, 2.0, 10.0):
@@ -229,9 +303,10 @@ def test_slow_mode_semigroup(k, mode, seed):
 
 def _dense_propagator(M):
     """exp(t M) as the dense matrix signal sum_k Q[:, k] Q^{-1}[k, :] e^{w_k t}
-    (one r x r coefficient per term), from the eig output that
+    (one r x r coefficient per term), from the Schur eigenbasis that
     propagator_signal reads, in its order."""
-    w, Q = np.linalg.eig(M)
+    schur = SchurForm.of(M)
+    w, Q = schur.T.diagonal(), schur.eigenvectors()
     order = np.lexsort((w.imag, w.real))
     w, Q = w[order], Q[:, order]
     Qinv = np.linalg.solve(Q, np.eye(len(w), dtype=complex))
@@ -257,13 +332,13 @@ def test_modal_propagator_matches_the_dense_stack(case):
          "slow": lambda: weierstrass_with_mode(4, 4, 2, 0, -1e-4)[1].J,
          "rank0": lambda: np.zeros((0, 0))}[case]()
     r = len(M)
-    prop, dense = semigroup.propagator_signal(M), _dense_propagator(M)
+    prop, dense = propagator_signal(SchurForm.of(M)), _dense_propagator(M)
     assert len(prop.terms) == len(dense.terms) == r - (case == "repeated")
-    assert np.array_equal(prop.rates, dense.rates)
+    assert np.array_equal(prop.d.rates, dense.rates)
     v = rng.normal(size=r) + 1j * rng.normal(size=r)
     g = Signal.zero(r)
     if r:  # its first term's rate is an eigenvalue of M
-        g = Signal.from_terms([(v, 0, prop.rates[0]),
+        g = Signal.from_terms([(v, 0, prop.d.rates[0]),
                                (rng.normal(size=r), 1, -0.3 + 0.5j)])
     ts = np.linspace(0.0, 5.0, 11)
 
@@ -319,7 +394,7 @@ def test_composition_residual_against_a_per_node_loop(factor):
             diff = S(t) @ S(s) - acc * t / 2 / math.factorial(p - 1)
             worst = max(worst, np.linalg.norm(diff, 2))
     got = verify_properties(ev).residuals["f"]
-    assert abs(got - worst / max(ev.pencil.scale, 1.0)) <= 1e-12
+    assert abs(got - worst / max(ev.decomposition.pencil.scale, 1.0)) <= 1e-12
     assert (got > semigroup.IDENTITY_TOL) == (factor != 1.0)
 
 
@@ -416,10 +491,10 @@ def test_f_norm_dominates_trajectory():
 def test_propagator_solves_the_ode(diag_pencil):
     ev = build_evaluator(diag_pencil)
     # d/dt S_coord^(p) = A_R S_coord^(p): check via the exp-polynomial
-    prop = ev.prop
+    prop = ev.decomposition.prop
     d = prop.derivative()
     for t in (0.0, 0.7, 2.0):
-        assert np.allclose(d(t), ev.A_R @ prop(t), atol=1e-12)
+        assert np.allclose(d(t), ev.decomposition.A_R @ prop(t), atol=1e-12)
     assert np.allclose(prop(0.0), np.eye(ev.rank))
     # S_r itself vanishes to order p at t = 0; its terms hold the diagonal
     # of each matrix coefficient in the eigenbasis Q

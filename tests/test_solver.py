@@ -73,7 +73,8 @@ def test_homogeneous_contour_accuracy_against_oracle(k):
             traj = solve_homogeneous(p, x0, ts, method="contour")
             exact = orc.solve(x0)
             ref = exact(ts)
-            cfgs = [contour_for(t, ev.omega, ev.spectrum) for t in ts]
+            spectrum = ev.decomposition.schur.T.diagonal()
+            cfgs = [contour_for(t, ev.omega, spectrum) for t in ts]
             assert traj.contours == tuple(cfg.kind for cfg in cfgs)
             quad = bromwich_invert(exact.laplace, cfgs)
             scale = np.max(np.abs(ref))
