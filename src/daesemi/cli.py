@@ -61,7 +61,7 @@ def _cmd_analyze(args) -> int:
         command="analyze", pencil_name=p.name, seed=_seed(),
         index={**_index_dict(idx), "chain_index": q},
         decomposition={
-            "mu": [rep.mu, 0.0],  # the shift hilbert_decomposition picks is real
+            "mu": [rep.mu, 0.0],  # Pencil.shift, the pencil's own, is real
             "stagnation_k": rep.stagnation_k,
             "dim_X_ran": rep.X_ran.rank, "dim_Z_ran": rep.Z_ran.rank,
             "dim_X_ker": rep.X_ker.rank, "dim_Z_ker": rep.Z_ker.rank,
@@ -145,7 +145,7 @@ def _suite_lemma29(p: Pencil) -> dict:
     rep = verify_properties(ev)
     # kappa_1 = ||Q||_1 ||Q^-1||_1 of A_R's eigenbasis Q, read off the report's
     # one Schur triangle of A_R, refused above EIGVEC_COND_CAP; none at rank 0
-    cond = None if ev.S_coord is None else ev.S_coord.cond
+    cond = ev.closed_form.cond if ev.rank else None
     return {"residuals": rep.residuals, "passed": rep.passed,
             "all_passed": rep.all_passed, "tol": rep.tol,
             "eigvec_cond": cond}
@@ -159,7 +159,7 @@ def _suite_laplace(p: Pencil) -> dict:
         for lam in (3.0, 5.0, 8.0, 12.0, 20.0):
             c = rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)
             x0 = ev.V @ (c / np.linalg.norm(c))
-            lhs = lam ** ev.p * (ev.V @ ev.S_coord.matvec(
+            lhs = lam ** ev.p * (ev.V @ ev.closed_form.matvec(
                 ev.V.conj().T @ x0).laplace(lam))
             rhs = right_resolvent(p, lam) @ x0
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))

@@ -23,8 +23,21 @@ def _pairs(M: np.ndarray) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(M).ravel()]
 
 
+def _finite(v, shape: tuple, what: str) -> np.ndarray:
+    """The JSON value v as a float array, or BadShape unless it holds finite
+    numbers in ``shape`` (-1 for any length); a ragged list is a ValueError."""
+    a = np.asarray(v)
+    if not (a.dtype.kind in "biuf" and a.ndim == len(shape)
+            and all(s in (-1, n) for s, n in zip(shape, a.shape))
+            and np.isfinite(a).all()):
+        raise BadShape(f"{what} must be finite numbers of shape {shape}")
+    return a.astype(float)
+
+
 def _unpairs(flat, rows: int, cols: int) -> np.ndarray:
-    vals = np.array([complex(re, im) for re, im in flat], dtype=complex)
+    pairs = _finite(flat, (-1, 2), "matrix entries as [re, im] pairs")
+    # float64 pairs viewed as complex128 are re + i im, bit for bit
+    vals = pairs.view(complex).ravel()
     if vals.size != rows * cols:
         raise BadShape(f"expected {rows * cols} entries, got {vals.size}")
     return vals.reshape(rows, cols)
@@ -39,11 +52,11 @@ def pencil_to_dict(p: Pencil) -> dict:
 
 
 def pencil_from_dict(d: dict) -> Pencil:
-    n_x, n_z = int(d["n_x"]), int(d["n_z"])
+    if not (isinstance(d, dict) and isinstance(d.get("metadata", {}), dict)):
+        raise BadShape("a pencil file holds one JSON object")
+    n_x, n_z = (int(_finite(d[k], (), k)) for k in ("n_x", "n_z"))
     E = _unpairs(d["E"], n_z, n_x)
     A = _unpairs(d["A"], n_z, n_x)
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(A))):
-        raise BadShape("non-finite matrix entries")
     meta = d.get("metadata", {})
     return Pencil(E, A, omega_hint=meta.get("omega_hint"),
                   name=meta.get("name", ""))
@@ -70,10 +83,14 @@ def write_signal(path, sig: Signal) -> None:
 
 def read_signal(path) -> Signal:
     with open(path) as fh:
-        sig = Signal.from_json_dict(json.load(fh))
-    if not all(np.all(np.isfinite(v)) for v in (sig.coeffs, sig.powers, sig.rates)):
-        raise BadShape("non-finite signal coefficient, power or rate")
-    return sig
+        d = json.load(fh)
+    terms = d.get("terms") if isinstance(d, dict) else None
+    if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+        raise BadShape("a signal file holds an object with a list of terms")
+    for t in terms:
+        for key, shape in (("coeff", (-1, 2)), ("rate", (2,)), ("power", ())):
+            _finite(t.get(key), shape, f"a signal term's {key}")
+    return Signal.from_json_dict(d)
 
 
 def trajectory_csv(times, values) -> str:

@@ -1,30 +1,19 @@
 """Integrated semigroups of a matrix pencil and their verification.
 
 S_r(t) is the p-fold time integral of the solution propagator on X_ran,
-characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam).  The
-closed-form backend integrates exp(t A_R) analytically, A_R the generator
-of the decomposition's split (E V A_R = A V on X_ran, from its S^{-1}).
-It holds exp(t A_R) and S_r in A_R's eigenbasis A_R = Q diag(w) Q^{-1},
-read off the decomposition's one Schur triangle of A_R: by the spectral
-calculus S_r(t) = Q diag(phi_p(t, w)) Q^{-1}, with phi_p(t, w) =
-int_0^t (t - s)^{p-1} / (p-1)! e^{s w} ds, so the p integrations act on
-the vector signal phi_p alone (``ModalSignal``).  The contour backend
-inverts R_r(lam) x0 / lam^p numerically.  In the
-split's quasi-Weierstrass form S^{-1} (lam E - A) [V | K] =
-diag(lam - A_R, lam N - I), so (lam E - A)^{-1} E V c = V (lam - A_R)^{-1} c
-(Berger, Ilchmann & Trenn, LAA 436 (2012)): every node, on square and
-rectangular pencils alike, is sampled in X_ran coordinates by one batched
-triangular sweep with that same Schur form, whose diagonal is the
-spectrum of both backends.
-
-S_l, characterized on Z_ran = E X_ran by R_l(lam) = E (lam E - A)^{-1} in
-the same way, is built the same two ways from the Z side of the same
-decomposition, its closed form from R_l(mu), apart from A_R; its contour
-samples are E V (lam - A_R)^{-1} c for z0 = E V c.
+characterized by R_r(lam) x0 = lam^p * Laplace[S_r(.) x0](lam); its
+generator is the split's A_R (E V A_R = A V on X_ran).  ``build_evaluator``
+holds it in closed form, Q diag(phi_p(t, w)) Q^{-1} with phi_p(t, w) =
+int_0^t (t - s)^{p-1} / (p-1)! e^{s w} ds (``ModalSignal``), where the
+eigenbasis Q of A_R passes its gate (the decomposition's ``prop``), and
+samples it by ``contour_coords`` elsewhere, as on the transport generator,
+one Jordan block.  S_l, characterized on Z_ran = E X_ran by R_l(lam) =
+E (lam E - A)^{-1}, is built the same two ways (``eval_S_l``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +30,7 @@ from .subspaces import (ANGLE_TOL, DecompositionReport, angle_to_kerE,
 XRAN_TOL = 1e-8
 IDENTITY_GRID = (0.1, 0.5, 1.0, 2.0)
 IDENTITY_TOL = 1e-6
+SWEEP_ENTRIES = 1 << 16  # node entries (nodes times dim X_ran) per sweep
 
 
 @dataclass
@@ -49,9 +39,16 @@ class SemigroupEvaluator:
 
     decomposition: DecompositionReport
     p: int
-    backend: str
-    omega: float
     S_coord: ModalSignal | None  # p-fold antiderivative of its report's prop
+
+    @property
+    def backend(self) -> str:
+        return "contour" if self.rank and self.S_coord is None else "closed_form"
+
+    @property
+    def closed_form(self) -> ModalSignal:
+        """S_coord, else built from ``prop``, which refuses a bad eigenbasis."""
+        return self.S_coord or self.decomposition.prop.antiderivative(self.p)
 
     @property
     def rank(self) -> int:
@@ -94,34 +91,63 @@ def _coordinates(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c
 
 
-def require_closed_form(ev: SemigroupEvaluator, what: str) -> None:
-    """Refuse ``what`` on an evaluator of nonzero rank without a closed form."""
-    if ev.rank and ev.S_coord is None:
-        raise ClosedFormUnavailable(f"{what} needs the closed-form "
-                                    "representation")
-
-
-def build_evaluator(p: Pencil,
-                    backend: str = "closed_form") -> SemigroupEvaluator:
+def build_evaluator(p: Pencil) -> SemigroupEvaluator:
     """The p-times integrated semigroup of p on its range space X_ran.
 
     The decomposition fixes both: the generator is its A_R, and p is
-    ``stagnation_k + 1``, since Wong's sequences stop at the index.  Both
-    backends take omega from the spectrum on the diagonal of its one Schur
-    form of A_R; only the closed form builds S_coord, from its ``prop``.
+    ``stagnation_k + 1``, since Wong's sequences stop at the index.
+    S_coord is None where its ``prop`` refuses A_R's eigenbasis; eval_S_r
+    and eval_S_l then take the contour.
     """
-    if backend not in ("closed_form", "contour"):
-        raise ValueError(f"unknown backend {backend!r}")
-    omega = p.omega_hint if p.omega_hint is not None else 0.0
     rep = hilbert_decomposition(p)
     p_int = rep.stagnation_k + 1
     S_coord = None
     if rep.X_ran.rank:
-        omega = max(float(np.max(rep.schur.T.diagonal().real)), omega)
-        if backend == "closed_form":
+        rep.S_inv  # the split's refusal, which no contour can pass
+        with contextlib.suppress(ClosedFormUnavailable):
             S_coord = rep.prop.antiderivative(p_int)
-    return SemigroupEvaluator(decomposition=rep, p=p_int, backend=backend,
-                              omega=omega, S_coord=S_coord)
+    return SemigroupEvaluator(decomposition=rep, p=p_int, S_coord=S_coord)
+
+
+def contour_coords(rep: DecompositionReport, c: np.ndarray, ts, p: int = 0):
+    """X_ran coordinates of x(t) and x'(t) at the times ``ts``, x the p-fold
+    time integral of exp(t A_R) c, by inverting (lam - A_R)^{-1} c / lam^p.
+
+    In the split's quasi-Weierstrass form S^{-1} (lam E - A) [V | K] =
+    diag(lam - A_R, lam N - I) (Berger, Ilchmann & Trenn, LAA 436 (2012)),
+    so V (lam - A_R)^{-1} c = (lam E - A)^{-1} E V c on square and
+    rectangular pencils alike.  Each t > 0 takes the rule ``contour_for``
+    picks for the spectrum of A_R and, for p > 0, the pole at 0; the nodes
+    of all times are one batched back-substitution with the report's Schur
+    form, gated node by node (``SchurForm.solve_at``), in blocks of about
+    SWEEP_ENTRIES node entries, about 10 MB each.  A node's sample
+    [F, lam F - x(0)] gives x and x' from one inversion.  Returns (x, x',
+    the contour kind per time); at t = 0, x is c (0 for p > 0), x' is NaN
+    and the kind None.
+    """
+    ts = np.asarray(ts, dtype=float)
+    r, schur = rep.X_ran.rank, rep.schur
+    x_at_0 = 0 if p else c
+    spectrum = np.append(schur.T.diagonal(), 0.0) if p else schur.T.diagonal()
+
+    def sample(lams):  # coordinates of the transforms of x and x', as rows
+        F = schur.solve_at(lams, c)
+        if p:
+            F = F / lams[:, None] ** p
+        return np.hstack([F, lams[:, None] * F - x_at_0])
+
+    coords = np.full((len(ts), 2 * r), np.nan, dtype=complex)
+    coords[ts == 0, :r] = x_at_0
+    # X_ran = 0 leaves x = 0 at every t, with no contour to sample
+    pos = np.flatnonzero(ts != 0) if r else np.zeros(0, dtype=int)
+    cfgs = [contour_for(t, rep.omega, spectrum) for t in ts[pos]]
+    block = np.cumsum([len(cfg.nodes) * r for cfg in cfgs]) // SWEEP_ENTRIES
+    for b in np.unique(block):
+        coords[pos[block == b]] = bromwich_invert(
+            sample, [cfg for cfg, bb in zip(cfgs, block) if bb == b])
+    kinds = np.full(len(ts), None)
+    kinds[pos] = [cfg.kind for cfg in cfgs]
+    return coords[:, :r], coords[:, r:], tuple(kinds)
 
 
 def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
@@ -130,19 +156,13 @@ def _apply(ev: SemigroupEvaluator, t: float, v0: np.ndarray, left: bool):
     c = _coordinates(basis, v0)
     if basis.shape[1] == 0 or t == 0:
         return np.zeros(basis.shape[0], dtype=complex)
-    if ev.backend == "closed_form":
+    if ev.S_coord is not None:
         return basis @ ((ev._S_left if left else ev.S_coord)(t) @ c)
     dec, lift = ev.decomposition, ev.V
     if left:  # v0 = E V c
         c = dec.image_part(basis @ c)
         lift = dec.pencil.E @ ev.V
-
-    def sample(lams):  # coordinates of R_r(lam) V c / lam^p, as rows
-        return dec.schur.solve_at(lams, c) / lams[:, None] ** ev.p
-
-    # lam^{-p} adds a pole at 0 to the spectrum of A_R
-    cfg = contour_for(t, ev.omega, np.append(dec.schur.T.diagonal(), 0.0))
-    return lift @ bromwich_invert(sample, cfg)
+    return lift @ contour_coords(dec, c, [t], ev.p)[0][0]
 
 
 def eval_S_r(ev: SemigroupEvaluator, t: float, x0: np.ndarray) -> np.ndarray:
@@ -168,21 +188,15 @@ def cp_semigroup(ev: SemigroupEvaluator, t: float) -> np.ndarray:
     if not ev._angle_kerE > ANGLE_TOL:
         raise DisjointnessViolated(
             f"range space meets ker E (angle {ev._angle_kerE:.2e})")
-    require_closed_form(ev, "propagator extraction")
-    if ev.rank == 0:
-        return np.zeros((len(ev.V),) * 2, dtype=complex)
     return ev.V @ ev.decomposition.prop(t) @ ev.V.conj().T
 
 
 def f_norm(ev: SemigroupEvaluator, x0: np.ndarray) -> float:
     """sup over [0, 10] of ||exp(-omega t) S_r^(p)(t) x0||, on 200 points."""
     c = ev.project(x0)
-    require_closed_form(ev, "the F-norm")
-    if ev.rank == 0:
-        return 0.0
     ts = np.linspace(0.0, 10.0, 200)
     vals = ev.decomposition.prop(ts) @ c
-    return float(np.max(np.exp(-ev.omega * ts)
+    return float(np.max(np.exp(-ev.decomposition.omega * ts)
                         * np.linalg.norm(vals, axis=1)))
 
 
@@ -203,8 +217,7 @@ class PropertyReport:
 
 def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     """Residuals of the integrated-semigroup identity suite on IDENTITY_GRID,
-    passed at IDENTITY_TOL.  The shift mu and the order p are the ones the
-    evaluator's decomposition picked.
+    passed at IDENTITY_TOL, at the pencil's shift mu and the evaluator's p.
 
     (a) commutation with R_r(mu) on X_ran;
     (b) E S_r(t) = S_l(t) E on X_ran;
@@ -221,10 +234,9 @@ def verify_properties(ev: SemigroupEvaluator) -> PropertyReport:
     as one diagonal; all pairs then meet Q and Q^{-1} in one product.
     (b) takes the left coordinates of all columns of E V in one projection.
     """
-    require_closed_form(ev, "identity verification")
     if ev.rank == 0:
         return PropertyReport(dict.fromkeys("abcdf", 0.0))
-    dec, V, p, S = ev.decomposition, ev.V, ev.p, ev.S_coord
+    dec, V, p, S = ev.decomposition, ev.V, ev.p, ev.closed_form
     E, A, W = dec.pencil.E, dec.pencil.A, dec.Z_ran.basis
     Rr = dec.R_mu @ E
     scale = max(dec.pencil.scale, 1.0)

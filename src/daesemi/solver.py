@@ -25,11 +25,10 @@ import numpy as np
 from .errors import (DecompositionUnavailable, InconsistentInitialValue,
                      LiftFailed, SolverMismatch)
 from .kernel import derivative_sum
-from .laplace import bromwich_invert, contour_for
 # resolvent stays importable from here: perfbench's tracing tests look it up
 # on this module.
 from .pencil import Pencil, resolvent  # noqa: F401
-from .semigroup import SemigroupEvaluator, build_evaluator
+from .semigroup import SemigroupEvaluator, build_evaluator, contour_coords
 from .signals import Signal
 from .subspaces import hilbert_decomposition
 
@@ -38,11 +37,6 @@ LIFT_TOL = 1e-8
 CLASSICAL_TOL = 1e-8
 MILD_TOL = 1e-8
 CROSS_TOL = 1e-4
-# The contour nodes of all output times share one batched sweep, which
-# holds about ten vectors of X_ran coordinates per node; a long time grid is
-# sampled in blocks of about SWEEP_ENTRIES node entries (nodes times
-# dim X_ran), about 10 MB each.
-SWEEP_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -54,8 +48,7 @@ class Trajectory:
     mild_res: float = np.inf
     classification: str = "none"
     consistency: dict = field(default_factory=dict)
-    # sampled (contour) trajectories: x'(t) from the same nodes as x(t),
-    # NaN at t = 0, and the contour kind per time (None at t = 0)
+    # contour trajectories: x'(t), NaN at t = 0, and the contour kinds
     derivatives: np.ndarray | None = None
     contours: tuple | None = None
 
@@ -157,19 +150,9 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
     consistency["initial_value_error"] records ||x(0) - x0||; ``strict``
     raises InconsistentInitialValue when it exceeds CONSISTENCY_TOL
     (relative).  ``method="decomp"`` is solve_full with f = 0 (square
-    pencils).  ``method="contour"`` (square or rectangular pencils) inverts
-    F(lam) = (lam E - A)^{-1} E x(0) at each output time, on the hyperbola
-    when the evaluator's spectrum of A_R fits inside it at that time and on
-    the Euler-accelerated line otherwise (``contour_for``).  F is sampled in
-    X_ran coordinates, (lam - A_R)^{-1} c0 with c0 those of x(0), by one
-    batched back-substitution with the decomposition's one Schur form of A_R,
-    gated node by node by a batched 1-norm condition estimate
-    (``SchurForm.solve_at``); one call takes the 41 (hyperbola) or 109
-    (line) nodes of every output time, a long grid in blocks of about
-    SWEEP_ENTRIES node entries.  Each node is sampled as
-    [F(z), z F(z) - c0], so one inversion gives x(t) and x'(t), lifted by V
-    into X_ran, and the classical residual is pointwise; it bounds the node
-    solves, not the quadrature error (see ``residual``).
+    pencils).  ``method="contour"`` (square or rectangular pencils) lifts by
+    V the X_ran coordinates of x(t) and x'(t) that ``contour_coords``
+    inverts from F(lam) = (lam E - A)^{-1} E x(0).
     """
     if method not in ("decomp", "contour"):
         raise ValueError(f"unknown method {method!r}")
@@ -177,34 +160,15 @@ def solve_homogeneous(p: Pencil, x0, ts, method: str = "decomp",
         traj = solve_full(p, x0, Signal.zero(p.n_z), ts)
         _check_consistent(x0, traj.consistency["initial_value_error"], strict)
         return traj
-    ev = build_evaluator(p, backend="contour")
-    c0 = ev.decomposition.ran_part(x0)
-    dist = float(np.linalg.norm(x0 - ev.V @ c0))
+    rep = hilbert_decomposition(p)
+    V, c0 = rep.X_ran.basis, rep.ran_part(x0)
+    dist = float(np.linalg.norm(x0 - V @ c0))
     _check_consistent(x0, dist, strict)
-    r, schur = ev.rank, ev.decomposition.schur
-
-    def sample(lams):  # coordinates of the transforms of x and x', as rows
-        F = schur.solve_at(lams, c0)
-        return np.hstack([F, lams[:, None] * F - c0])
-
     ts = np.asarray(ts, dtype=float)
-    coords = np.zeros((len(ts), 2 * r), dtype=complex)
-    coords[ts == 0, :r] = c0
-    # X_ran = 0 leaves x = 0 at every t, with no contour to sample
-    pos = np.flatnonzero(ts != 0) if r else np.zeros(0, dtype=int)
-    cfgs = [contour_for(t, ev.omega, schur.T.diagonal()) for t in ts[pos]]
-    block = np.cumsum([len(cfg.nodes) * r for cfg in cfgs]) // SWEEP_ENTRIES
-    for b in np.unique(block):
-        coords[pos[block == b]] = bromwich_invert(
-            sample, [cfg for cfg, bb in zip(cfgs, block) if bb == b])
-    values, derivatives = coords[:, :r] @ ev.V.T, coords[:, r:] @ ev.V.T
-    derivatives[ts == 0] = np.nan
-    kinds = [None] * len(ts)
-    for i, cfg in zip(pos, cfgs):
-        kinds[i] = cfg.kind
-    traj = Trajectory(times=ts, values=values,
+    x, dx, kinds = contour_coords(rep, c0, ts)
+    traj = Trajectory(times=ts, values=x @ V.T, contours=kinds,
                       consistency={"initial_value_error": dist},
-                      derivatives=derivatives, contours=tuple(kinds))
+                      derivatives=np.where(ts[:, None] == 0, np.nan, dx @ V.T))
     _classify(p, traj, None)
     return traj
 
@@ -222,14 +186,14 @@ def _lift_into_xran(ev: SemigroupEvaluator, f: Signal) -> Signal:
 
 def solve_inhomogeneous_ran(p: Pencil, x0, f: Signal, ts) -> Trajectory:
     """f valued in Z_ran and x0 in X_ran: convolve with S_r, then
-    differentiate p times, with the evaluator's shift and p."""
+    differentiate p times, p the evaluator's."""
     ev = build_evaluator(p)
     f_tilde = _lift_into_xran(ev, f)
     c0 = ev.decomposition.ran_part(x0)
     _check_consistent(x0, float(np.linalg.norm(x0 - ev.V @ c0)), True)
     if ev.rank == 0:
         return _from_signal(p, Signal.zero(p.n_x), ts, f, x0=x0)
-    v_tilde = ev.S_coord.matvec(c0) + ev.S_coord.convolve(f_tilde)
+    v_tilde = ev.closed_form.matvec(c0) + ev.closed_form.convolve(f_tilde)
     return _from_signal(p, v_tilde.derivative(ev.p).apply(ev.V), ts, f, x0=x0)
 
 

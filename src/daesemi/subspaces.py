@@ -115,6 +115,13 @@ class DecompositionReport:
         """exp(t A_R) in A_R's eigenbasis (``propagator_signal``)."""
         return propagator_signal(self.schur)
 
+    @cached_property
+    def omega(self) -> float:
+        """Growth abscissa of exp(t A_R): the largest real part on its Schur
+        diagonal, at least the pencil's omega_hint (0 without one)."""
+        return float(np.max(self.schur.T.diagonal().real,
+                            initial=self.pencil.omega_hint or 0.0))
+
     def ran_part(self, x: np.ndarray) -> np.ndarray:
         """Coordinates in X_ran of the part of x (a vector or columns) in
         X_ran taken along X_ker: (S^{-1} E x)_1 on ``square``."""
@@ -277,7 +284,7 @@ def angle_to_kerE(X_ran: SubspaceBasis, p: Pencil) -> float:
 
 def check_disjointness(rep: DecompositionReport, p: Pencil) -> DisjointnessFlags:
     """Disjointness of X_ran from ker E and of the ranges from the kernels
-    at principal angle ANGLE_TOL, for the shift and power ``rep`` picked."""
+    at principal angle ANGLE_TOL, for the split ``rep`` computed."""
     angle_E = angle_to_kerE(rep.X_ran, p)
     ang_K = principal_angles(rep.X_ran, rep.X_ker)
     return DisjointnessFlags(

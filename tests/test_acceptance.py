@@ -58,7 +58,7 @@ def test_criterion_1_laplace_representation(capsys):
         x0 = ev.V @ c
         x0 = x0 / np.linalg.norm(x0)
         sig = ev.S_coord.matvec(ev.V.conj().T @ x0).apply(ev.V)
-        cfg = contour_for(1.0, omega=ev.omega)
+        cfg = contour_for(1.0, omega=ev.decomposition.omega)
         lams = [cfg.sigma + 1j * np.pi * j for j in range(5)]
         for lam in lams:
             lhs = lam ** ev.p * sig.laplace(lam)
@@ -71,7 +71,7 @@ def test_criterion_1_laplace_representation(capsys):
     x0 = x0 / np.linalg.norm(x0)
     lam = 12.0 + 2.0j
     quad = forward_laplace(lambda t: eval_S_r(ev, t, x0), lam, T=40.0, n=64,
-                           omega=ev.omega)
+                           omega=ev.decomposition.omega)
     rhs = resolvent(pen, lam) @ (pen.E @ x0)
     worst = max(worst, float(np.linalg.norm(lam ** ev.p * quad - rhs)))
     elapsed = time.perf_counter() - start

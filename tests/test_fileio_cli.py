@@ -189,14 +189,23 @@ def test_cli_solve_at_index_20(tmp_path, capsys):
     assert rep["classical_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("term", [
-    {"coeff": [[float("nan"), 0.0], [1.0, 0.0]], "power": 0, "rate": [0.0, 0.0]},
-    {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": float("nan"), "rate": [0.0, 0.0]},
-    {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": 1, "rate": [float("inf"), 0.0]},
-], ids=["coefficient", "power", "rate"])
-def test_nonfinite_signal_file_rejected(pencil_file, tmp_path, capsys, term):
+_TERM = {"coeff": [[1.0, 0.0], [1.0, 0.0]], "power": 1, "rate": [0.0, 0.0]}
+
+
+# non-finite numbers, and layouts that once let a TypeError escape (exit 1)
+@pytest.mark.parametrize("doc", [
+    {"terms": [{**_TERM, "coeff": [[float("nan"), 0.0], [1.0, 0.0]]}]},
+    {"terms": [{**_TERM, "power": float("nan")}]},
+    {"terms": [{**_TERM, "rate": [float("inf"), 0.0]}]},
+    [_TERM],
+    {"terms": [{**_TERM, "coeff": [1.0, 2.0]}]},
+    {"terms": [{**_TERM, "rate": 0.5}]},
+    {"terms": 5},
+], ids=["coefficient", "power", "rate", "top-level-list", "unpaired-coeff",
+        "scalar-rate", "scalar-terms"])
+def test_nonfinite_signal_file_rejected(pencil_file, tmp_path, capsys, doc):
     fpath = tmp_path / "f.json"
-    fpath.write_text(json.dumps({"terms": [term]}))
+    fpath.write_text(json.dumps(doc))
     with pytest.raises(BadShape):
         read_signal(fpath)
     assert main(["solve", pencil_file, "--x0", "0,0",
@@ -240,12 +249,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n_x": 2, "n_z": 2, "E": [[1, 0]], "A": [[1, 0]]}')
     assert main(["analyze", str(bad)]) == 2
+    # layouts that once let a TypeError escape: a top-level list, scalars
+    # where [re, im] pairs belong, and a list for a dimension
+    pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    for doc in ([1, 2],
+                {"n_x": 2, "n_z": 2, "E": pairs, "A": [1, 2, 3, 4]},
+                {"n_x": [2], "n_z": 2, "E": pairs, "A": pairs}):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(BadShape):
+            read_pencil(bad)
+        assert main(["analyze", str(bad)]) == 2
     # pencil singular on the whole ray: numerical failure
     sing = tmp_path / "sing.json"
     E = np.array([[0.0, 1.0], [0.0, 0.0]])
     write_pencil(sing, Pencil(E, E.copy(), name="sing"))
     assert main(["analyze", str(sing)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["lemma29", "thm43", "laplace"])
+def test_cli_verify_refuses_the_transport_closed_form(tmp_path, capsys,
+                                                      suite):
+    """The transport generator has no eigenbasis: every suite that reads
+    the closed form is a numerical failure naming the eigenbasis gate."""
+    path = str(tmp_path / "t.json")
+    assert main(["example", "transport", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "--suite", suite]) == 3
+    assert "eigenbasis" in capsys.readouterr().err
 
 
 def test_cli_seed_env(tmp_path, monkeypatch, capsys):

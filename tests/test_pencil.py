@@ -6,9 +6,9 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrcon
 
 from daesemi import (Pencil, bromwich_invert, build_evaluator, chain_index,
-                     contour_for, estimate_resolvent_index, left_resolvent,
-                     make_transport, make_weierstrass, resolvent,
-                     right_resolvent)
+                     contour_for, estimate_resolvent_index,
+                     hilbert_decomposition, left_resolvent, make_transport,
+                     make_weierstrass, resolvent, right_resolvent)
 from daesemi.errors import NotRegularOnRay, ShapeMismatch, SingularAtLambda
 from daesemi.pencil import RANK_RCOND, SAMPLE_COND_CAP, SchurForm
 
@@ -179,17 +179,16 @@ def test_qz_shifted_solve_matches_resolvent(k):
     nilpotent part, whose growth |lam|^(k-1) made the far nodes of the
     pencil ill-conditioned at index 3 and 4, no longer enters."""
     p, _ = make_weierstrass(6, 6, k, seed=70 + k)
-    ev = build_evaluator(p, backend="contour")
-    dec = ev.decomposition
-    spectrum = dec.schur.T.diagonal()
+    dec = hilbert_decomposition(p)
+    spectrum, r = dec.schur.T.diagonal(), dec.X_ran.rank
     rng = np.random.default_rng(k)
-    c = rng.normal(size=ev.rank) + 1j * rng.normal(size=ev.rank)
-    I = np.eye(ev.rank)
-    assert all(contour_for(t, ev.omega, spectrum).kind == "hyperbola"
+    c = rng.normal(size=r) + 1j * rng.normal(size=r)
+    I = np.eye(r)
+    assert all(contour_for(t, dec.omega, spectrum).kind == "hyperbola"
                for t in (0.25, 1.0, 1.5))
     for t in (0.25, 1.0, 1.5):
-        lams = (_contour_nodes(t, ev.omega)
-                + _contour_nodes(t, ev.omega, spectrum))
+        lams = (_contour_nodes(t, dec.omega)
+                + _contour_nodes(t, dec.omega, spectrum))
         for lam, x in zip(lams, dec.schur.solve_at(lams, c)):
             M = lam * I - dec.A_R
             assert np.linalg.norm(M @ x - c) <= 1e-14 * (
@@ -209,7 +208,7 @@ def test_rectangular_sampler_matches_least_squares(mixed):
     node is ill-conditioned."""
     n, m = (24, 24) if mixed else (4, 3)
     p = mixed_transport(n, m, seed=3) if mixed else make_transport(n, m)
-    ev = build_evaluator(p, backend="contour")
+    ev = build_evaluator(p)
     rng = np.random.default_rng(5)
     # x1(0) = 0 and x2 = x1(1): the boundary rows hold
     x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -218,8 +217,9 @@ def test_rectangular_sampler_matches_least_squares(mixed):
     b = p.E @ (ev.V @ c)
     schur = ev.decomposition.schur
     for t in (0.25, 1.0, 1.5):
-        lams = (_contour_nodes(t, ev.omega)
-                + _contour_nodes(t, ev.omega, schur.T.diagonal()))
+        lams = (_contour_nodes(t, ev.decomposition.omega)
+                + _contour_nodes(t, ev.decomposition.omega,
+                                 schur.T.diagonal()))
         for lam, y in zip(lams, schur.solve_at(lams, c)):
             M = lam * p.E - p.A
             ref = np.linalg.lstsq(M, b, rcond=None)[0]
@@ -230,19 +230,19 @@ def test_rectangular_sampler_matches_least_squares(mixed):
 def test_sampler_refuses_nodes_at_the_generator_spectrum():
     # -4 is the eigenvalue of make_transport(4, 4)'s generator, a Jordan
     # block, so lam - A_R is numerically singular at a node there
-    ev = build_evaluator(make_transport(4, 4), backend="contour")
+    dec = hilbert_decomposition(make_transport(4, 4))
     with pytest.raises(SingularAtLambda, match=r"lambda=\(-4"):
-        ev.decomposition.schur.solve_at([1.0, -4.0], np.ones(ev.rank))
+        dec.schur.solve_at([1.0, -4.0], np.ones(dec.X_ran.rank))
     # a zero column leaves lam E - A rank-deficient at every lam: the shift
     # search refuses the pencil; a wide pencil (make_transport(4, 3)
     # transposed) is refused by the split
     E = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularAtLambda, match="rank-deficient"):
-        build_evaluator(Pencil(E, A), backend="contour")
+        hilbert_decomposition(Pencil(E, A))
     p = make_transport(4, 3)
     with pytest.raises(SingularAtLambda, match="a Wong step lost rank"):
-        build_evaluator(Pencil(p.E.T, p.A.T), backend="contour")
+        hilbert_decomposition(Pencil(p.E.T, p.A.T))
 
 
 def test_qz_shifted_solve_raises_at_eigenvalue(diag_pencil):
@@ -257,7 +257,7 @@ def test_qz_shifted_solve_raises_on_singular_pencil():
     # node is solved
     E = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SingularAtLambda):
-        build_evaluator(Pencil(E, E.copy()), backend="contour")
+        hilbert_decomposition(Pencil(E, E.copy()))
 
 
 @pytest.mark.parametrize("case", ["diag", 1, 2, 3, 4])
@@ -266,9 +266,8 @@ def test_batched_gate_refuses_what_ztrcon_refuses(case, diag_pencil):
     directions: the batched estimate refuses every triangle that LAPACK's
     per-node ztrcon refuses, and where both accept it is within a factor 2
     of ztrcon's."""
-    A_R = diag_pencil.A if case == "diag" else build_evaluator(
-        make_weierstrass(8, 8, case, seed=case)[0],
-        backend="contour").decomposition.A_R
+    A_R = diag_pencil.A if case == "diag" else hilbert_decomposition(
+        make_weierstrass(8, 8, case, seed=case)[0]).A_R
     schur = SchurForm.of(A_R)
     w = np.linalg.eigvals(A_R)
     steps = np.logspace(1, -18, 60)

@@ -12,7 +12,8 @@ import scipy.linalg
 from daesemi import (build_evaluator, cp_semigroup, eval_S_l, eval_S_r,
                      f_norm, forward_laplace, make_hamiltonian,
                      make_transport, make_weierstrass, restrict_to_kernel,
-                     right_resolvent, verify_properties)
+                     right_resolvent, solve_inhomogeneous_ran,
+                     verify_properties)
 from daesemi import pencil as pencil_module
 from daesemi import semigroup, solver, subspaces
 from daesemi.errors import ClosedFormUnavailable, NotInXran
@@ -35,15 +36,15 @@ def test_laplace_representation_closed_vs_quadrature(diag_pencil):
         # route 2: independent quadrature of t -> S_r(t) x0
         quad = lam ** ev.p * forward_laplace(
             lambda t: eval_S_r(ev, t, x0), lam, T=40.0, n=64,
-            omega=max(ev.omega, 0.0))
+            omega=max(ev.decomposition.omega, 0.0))
         assert np.linalg.norm(exact - rhs) < 1e-10
         assert np.linalg.norm(quad - rhs) < 1e-6
 
 
 def test_contour_backend_matches_closed_form():
     p, _ = make_weierstrass(3, 2, 2, seed=21)
-    ev_c = build_evaluator(p, backend="closed_form")
-    ev_k = build_evaluator(p, backend="contour")
+    ev_c = build_evaluator(p)
+    ev_k = dataclasses.replace(ev_c, S_coord=None)
     rng = np.random.default_rng(0)
     x0 = ev_c.V @ rng.normal(size=ev_c.rank)
     for t in (0.3, 1.0, 2.5):
@@ -77,7 +78,10 @@ def test_starts_at_zero_and_rejects_outside_vectors():
 def test_left_and_right_intertwine(maker, backend):
     """E S_r(t) x0 = S_l(t) E x0, S_l built from the Z side."""
     p = maker()
-    ev = build_evaluator(p, backend=backend)
+    ev = build_evaluator(p)
+    if backend == "contour":
+        ev = dataclasses.replace(ev, S_coord=None)
+    assert ev.backend == backend
     x0 = ev.V[:, 0]
     for t in (0.4, 1.2):
         lhs = p.E @ eval_S_r(ev, t, x0)
@@ -88,8 +92,8 @@ def test_left_and_right_intertwine(maker, backend):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_contour_S_l_matches_closed_form(k):
     p, _ = make_weierstrass(4, 4, k, seed=30 + k)
-    ev_c = build_evaluator(p, backend="closed_form")
-    ev_k = build_evaluator(p, backend="contour")
+    ev_c = build_evaluator(p)
+    ev_k = dataclasses.replace(ev_c, S_coord=None)
     rng = np.random.default_rng(k)
     z0 = ev_c.decomposition.Z_ran.basis @ (rng.normal(size=ev_c.rank)
                                            + 1j * rng.normal(size=ev_c.rank))
@@ -119,7 +123,7 @@ def test_one_analysis_per_evaluator(monkeypatch):
     p, _ = make_weierstrass(2, 2, 2, seed=6)
     verify_properties(build_evaluator(p))
     assert calls == {"decomposition": 1, "schur": [(2, 2), (2, 2)]}
-    ev = build_evaluator(p, backend="contour")
+    ev = dataclasses.replace(build_evaluator(p), S_coord=None)
     x0 = ev.V[:, 0]
     eval_S_r(ev, 1.0, x0)
     eval_S_l(ev, 1.0, p.E @ x0)
@@ -250,10 +254,44 @@ def test_report_closed_form_matches_expm(r):
 
 def test_transport_generator_has_no_closed_form():
     """make_transport's generator is defective (one Jordan block): its
-    triangular eigenvectors are nearly parallel, so the closed form is
-    refused."""
-    with pytest.raises(ClosedFormUnavailable, match="eigenbasis"):
-        build_evaluator(make_transport(16, 16))
+    triangular eigenvectors are nearly parallel, so the evaluator takes the
+    contour, and every reader of the closed form gets the eigenbasis
+    gate's refusal."""
+    for n in (4, 16, 24):
+        p = make_transport(n, n)
+        ev = build_evaluator(p)
+        assert ev.backend == "contour" and ev.S_coord is None
+        x0 = ev.V[:, 0]
+        for read in (lambda: verify_properties(ev),
+                     lambda: cp_semigroup(ev, 1.0),
+                     lambda: f_norm(ev, x0),
+                     lambda: solve_inhomogeneous_ran(
+                         p, x0, Signal.zero(p.n_z), [0.0, 1.0])):
+            with pytest.raises(ClosedFormUnavailable, match="eigenbasis"):
+                read()
+
+
+@pytest.mark.parametrize("n", [4, 16, 24])
+def test_contour_semigroup_without_an_eigenbasis(n):
+    """On the transport generator the default evaluator samples S_r and S_l
+    by the contour: S_r matches an 80-node Gauss-Legendre quadrature of
+    int_0^t (t - s)^{p-1} / (p-1)! exp(s A_R) ds, and E S_r = S_l E."""
+    p = make_transport(n, n)
+    ev = build_evaluator(p)
+    assert ev.backend == "contour"
+    A_R, k = ev.decomposition.A_R, ev.p - 1
+    c = np.random.default_rng(n).normal(size=ev.rank)
+    x0 = ev.V @ c
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    for t in (0.25, 0.5, 1.0, 1.5):
+        ref = ev.V @ sum(
+            w * t / 2 * (t - s) ** k / math.factorial(k)
+            * scipy.linalg.expm(s * A_R) @ c
+            for w, s in zip(weights, t / 2 * (1 + nodes)))
+        got = eval_S_r(ev, t, x0)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        rhs = eval_S_l(ev, t, p.E @ x0)
+        assert np.linalg.norm(p.E @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_S_l_refuses_a_singular_R_l_on_Z_ran():
@@ -470,8 +508,10 @@ def test_rectangular_contour_takes_no_svd_per_node(monkeypatch):
 
 def test_evaluator_attributes_read_by_the_benchmark():
     """perfbench's tracer reads S_coord after every build_evaluator, and its
-    check test assigns ev.p."""
-    ev = build_evaluator(make_transport(16, 16), backend="contour")
+    check test assigns ev.p: on a generator with no eigenbasis S_coord is a
+    plain None, neither built on read nor raising."""
+    ev = build_evaluator(make_transport(16, 16))
+    assert ev.backend == "contour"
     assert getattr(ev, "S_coord", None) is None
     p = ev.p
     ev.p += 1
@@ -485,7 +525,7 @@ def test_f_norm_dominates_trajectory():
     M = f_norm(ev, x0)
     for t in (0.3, 2.0, 7.0):
         val = np.linalg.norm(cp_semigroup(ev, t) @ x0)
-        assert val <= M * np.exp(ev.omega * t) + 1e-10
+        assert val <= M * np.exp(ev.decomposition.omega * t) + 1e-10
 
 
 def test_propagator_solves_the_ode(diag_pencil):
