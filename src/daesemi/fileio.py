@@ -58,8 +58,10 @@ def pencil_from_dict(d: dict) -> Pencil:
     E = _unpairs(d["E"], n_z, n_x)
     A = _unpairs(d["A"], n_z, n_x)
     meta = d.get("metadata", {})
-    return Pencil(E, A, omega_hint=meta.get("omega_hint"),
-                  name=meta.get("name", ""))
+    omega = meta.get("omega_hint")
+    if omega is not None:
+        omega = float(_finite(omega, (), "omega_hint"))
+    return Pencil(E, A, omega_hint=omega, name=meta.get("name", ""))
 
 
 def _dump(d: dict) -> str:

@@ -111,9 +111,20 @@ class DecompositionReport:
         return SchurForm.of(self.A_R)
 
     @cached_property
+    def _prop(self) -> ModalSignal | ClosedFormUnavailable:
+        try:
+            return propagator_signal(self.schur)
+        except ClosedFormUnavailable as refusal:
+            return refusal
+
+    @property
     def prop(self) -> ModalSignal:
-        """exp(t A_R) in A_R's eigenbasis (``propagator_signal``)."""
-        return propagator_signal(self.schur)
+        """exp(t A_R) in A_R's eigenbasis (``propagator_signal``), built
+        once; a refused eigenbasis is refused once, and every read raises
+        a ClosedFormUnavailable with that refusal's message."""
+        if isinstance(self._prop, ClosedFormUnavailable):
+            raise ClosedFormUnavailable(*self._prop.args)
+        return self._prop
 
     @cached_property
     def omega(self) -> float:

@@ -267,6 +267,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("hint", ["x", [1.0], {"re": 1.0}, float("nan")])
+def test_cli_rejects_a_non_numeric_omega_hint(tmp_path, capsys, hint):
+    """omega_hint, when present, is one finite number; anything else is
+    BadShape (exit 2), not a TypeError from the shift (exit 1)."""
+    doc = pencil_to_dict(make_weierstrass(2, 2, 2)[0])
+    path = tmp_path / "w.json"
+    doc["metadata"]["omega_hint"] = hint
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadShape, match="omega_hint"):
+        read_pencil(path)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    for meta in ({"name": "w", "omega_hint": None}, {"name": "w"}):
+        doc["metadata"] = meta
+        path.write_text(json.dumps(doc))
+        assert read_pencil(path).omega_hint is None
+        assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("suite", ["lemma29", "thm43", "laplace"])
 def test_cli_verify_refuses_the_transport_closed_form(tmp_path, capsys,
                                                       suite):

@@ -271,6 +271,33 @@ def test_transport_generator_has_no_closed_form():
                 read()
 
 
+def test_refused_eigenbasis_is_refused_once(monkeypatch):
+    """The report keeps its prop's refusal: on the transport generator the
+    evaluator and every closed-form reader after it take one
+    propagator_signal call between them, and all raise the same error."""
+    calls = []
+
+    def counted(schur):
+        calls.append(schur)
+        return propagator_signal(schur)
+
+    monkeypatch.setattr(subspaces, "propagator_signal", counted)
+    ev = build_evaluator(make_transport(32, 32))
+    assert len(calls) == 1 and ev.S_coord is None
+    messages = set()
+    for read in (lambda: cp_semigroup(ev, 1.0),
+                 lambda: f_norm(ev, ev.V[:, 0]),
+                 lambda: verify_properties(ev),
+                 lambda: ev.decomposition.prop):
+        with pytest.raises(ClosedFormUnavailable) as err:
+            read()
+        assert type(err.value) is ClosedFormUnavailable
+        messages.add(str(err.value))
+    assert len(calls) == 1
+    [message] = messages
+    assert message.startswith("generator eigenbasis too ill-conditioned")
+
+
 @pytest.mark.parametrize("n", [4, 16, 24])
 def test_contour_semigroup_without_an_eigenbasis(n):
     """On the transport generator the default evaluator samples S_r and S_l
@@ -434,6 +461,118 @@ def test_composition_residual_against_a_per_node_loop(factor):
     got = verify_properties(ev).residuals["f"]
     assert abs(got - worst / max(ev.decomposition.pencil.scale, 1.0)) <= 1e-12
     assert (got > semigroup.IDENTITY_TOL) == (factor != 1.0)
+
+
+def _batched_max_norm(M):
+    return float(np.max(np.linalg.norm(M, 2, axis=(-2, -1))))
+
+
+def _stacks():
+    """Stacks of the suite's shapes ((a): n x n, (b)-(d): n x r, (f): a
+    (4, 4, r, r) grid of pairs), real and complex, and the edge cases."""
+    rng = np.random.default_rng(33)
+    out = []
+    for shape in [(4, 20, 20), (4, 20, 16), (4, 4, 16, 16), (1, 7, 5)]:
+        out.append(rng.normal(size=shape))
+        out.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # graded slices, so that few are visited, and slices of equal norm
+    out.append(rng.normal(size=(16, 9, 9)) * np.logspace(0, -3, 16)[:, None,
+                                                                    None])
+    out.append(np.stack([rng.normal(size=(6, 6))] * 4))
+    out.append(np.zeros((4, 5, 5)))
+    u, v = rng.normal(size=(4, 8, 1)), rng.normal(size=(4, 1, 6))
+    out.append(u @ v)  # rank one: the Frobenius norm is sigma_1
+    out.append(np.stack([u[0] @ v[0]] * 3))  # rank one and tied
+    out.append(rng.normal(size=(1, 6, 6)))
+    return out
+
+
+@pytest.mark.parametrize("k", range(len(_stacks())))
+def test_max_spectral_norm_equals_the_batched_norm(k):
+    M = _stacks()[k]
+    got = semigroup.max_spectral_norm(M)
+    assert np.float64(got).tobytes() == np.float64(
+        _batched_max_norm(M)).tobytes()
+
+
+def test_max_spectral_norm_skips_what_the_frobenius_bound_excludes(
+        monkeypatch):
+    """On graded slices only the first few SVDs run, and on a zero stack
+    none; the maximum is the batched one either way."""
+    rng = np.random.default_rng(1)
+    M = rng.normal(size=(16, 9, 9)) * np.logspace(0, -3, 16)[:, None, None]
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert semigroup.max_spectral_norm(M) == _batched_max_norm(M)
+    assert 1 <= len(calls) <= 3 and set(calls) == {(1, 9, 9)}
+    calls.clear()
+    assert semigroup.max_spectral_norm(np.zeros((4, 3, 3))) == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", [0, 2, 3])
+def test_max_spectral_norm_keeps_nonfinite_outcomes(where):
+    """A NaN entry in any slice raises the batched norm's LinAlgError, and
+    an inf entry gives NaN, never a maximum that skipped its slice."""
+    M = np.random.default_rng(where).normal(size=(4, 6, 6))
+    M[0] *= 100.0  # the largest finite slice would otherwise prune the rest
+    for value in (np.nan, np.inf, -np.inf):
+        bad = M.copy()
+        bad[where, 1, 2] = value
+        if np.isnan(value):
+            for norm in (semigroup.max_spectral_norm, _batched_max_norm):
+                with pytest.raises(np.linalg.LinAlgError):
+                    norm(bad)
+        else:
+            assert np.isnan(_batched_max_norm(bad))
+            assert np.isnan(semigroup.max_spectral_norm(bad))
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((lambda k=k: make_weierstrass(6, k, k, seed=k)[0], 1.0),
+                 id=f"index{k}") for k in (1, 2, 3, 4)] + [
+    pytest.param((lambda: make_hamiltonian(8, 4, seed=1), 1.0),
+                 id="hamiltonian"),
+    pytest.param((lambda: nilpotent_of_index(2), 1.0), id="rank0"),
+    pytest.param((lambda: make_weierstrass(16, 8, 2, seed=3)[0], 1.01),
+                 id="scaled-fails"),
+])
+def test_identity_suite_equals_the_batched_norms(monkeypatch, case):
+    """Pruning by the Frobenius bound changes no residual: each report is
+    bitwise the one taken with every slice's SVD, and passes as it does."""
+    maker, factor = case
+    ev = build_evaluator(maker())
+    if factor != 1.0:
+        ev = dataclasses.replace(ev, S_coord=ev.S_coord.scale(factor))
+    got = verify_properties(ev)
+    monkeypatch.setattr(semigroup, "max_spectral_norm", _batched_max_norm)
+    ref = verify_properties(ev)
+    assert {k: np.float64(v).tobytes() for k, v in got.residuals.items()} \
+        == {k: np.float64(v).tobytes() for k, v in ref.residuals.items()}
+    assert got.passed == ref.passed
+    assert got.all_passed == (factor == 1.0)
+
+
+def test_identity_suite_takes_few_svds(monkeypatch):
+    """At range rank 64 the five residuals take at most 10 one-slice SVDs
+    in all, where one per slice of their stacks would be 32."""
+    svd, calls = np.linalg.svd, []
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.ndim(M) == 3)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for seed in range(10):
+        ev = build_evaluator(make_weierstrass(64, 16, 2, seed=seed)[0])
+        calls.clear()
+        verify_properties(ev)
+        assert 5 <= sum(calls) <= 10
 
 
 def test_identity_suite_trivial_on_pure_nilpotent():
